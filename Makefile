@@ -14,6 +14,10 @@ CHURNTIME ?= 5000x
 # (allocation-gated) with a throughput run (timing only — engine
 # fan-out allocs vary with scheduling and are not a useful gate).
 HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessRTP$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$
+# CHURN_BENCH is the call lifecycle one dialog at a time plus the same
+# churn with 1k and 10k closed monitors lingering resident, whose
+# ns/op must not grow with the resident count.
+CHURN_BENCH = BenchmarkCallChurn$$|BenchmarkCallChurnResident$$
 # THROUGHPUT_BENCH pairs the SIP-heavy engine mix with the media-heavy
 # one so the fast-path absorption numbers are pinned alongside the
 # baseline fan-out numbers in BENCH_engine.json.
@@ -63,7 +67,7 @@ bench:
 	$(GO) run ./cmd/benchjson < BENCH_hotpath.txt > BENCH_hotpath.json
 	@rm -f BENCH_hotpath.txt
 	@echo "wrote BENCH_hotpath.json"
-	$(GO) test -run '^$$' -bench 'BenchmarkCallChurn$$' \
+	$(GO) test -run '^$$' -bench '$(CHURN_BENCH)' \
 		-benchmem -benchtime $(CHURNTIME) . | $(GO) run ./cmd/benchjson > BENCH_churn.part.json
 	$(GO) test -run '^$$' -bench '$(THROUGHPUT_BENCH)' \
 		-benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_throughput.part.json
@@ -83,7 +87,7 @@ bench:
 bench-compare:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' \
 		-benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_hotpath.fresh.json
-	$(GO) test -run '^$$' -bench 'BenchmarkCallChurn$$' \
+	$(GO) test -run '^$$' -bench '$(CHURN_BENCH)' \
 		-benchmem -benchtime $(CHURNTIME) . | $(GO) run ./cmd/benchjson > BENCH_churn.fresh.json
 	$(GO) test -run '^$$' -bench '$(THROUGHPUT_BENCH)' \
 		-benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_throughput.fresh.json

@@ -407,6 +407,62 @@ func BenchmarkCallChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkCallChurnResident is BenchmarkCallChurn in a steady stream
+// of short calls: one dialog per iteration, virtual time advancing
+// CloseLinger/resident per dialog, so about `resident` closed monitors
+// linger at any moment with their eviction timers crowding the same
+// coarse timer-wheel slots. Per-dialog cost must not grow with the
+// resident count; comparing the two sizes exposes any O(resident)
+// term in arming, cancelling or draining timers.
+func BenchmarkCallChurnResident(b *testing.B) {
+	for _, resident := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("resident=%dk", resident/1000), func(b *testing.B) {
+			s := sim.New(1)
+			cfg := ids.DefaultConfig()
+			// Every dialog's INVITE comes from one proxy to one
+			// callee, hundreds per second, which the flood counter
+			// would (correctly) flag; raise the threshold so the
+			// benchmark measures the benign path.
+			cfg.FloodN = 1 << 40
+			d := ids.New(s, cfg)
+			step := cfg.CloseLinger / time.Duration(resident)
+			// A slot is reused only after its previous monitor was
+			// evicted (ByeGraceT + CloseLinger after its BYE).
+			slots := resident + resident/4
+			dialogs := make([][]churnStep, slots)
+			for i := range dialogs {
+				dialogs[i] = churnDialog(i)
+			}
+			i := 0
+			run := func() {
+				for _, st := range dialogs[i%slots] {
+					d.ProcessSIP(st.m, st.pkt)
+				}
+				i++
+				if err := s.Run(s.Now() + step); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i < slots {
+				run()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				run()
+			}
+			b.StopTimer()
+			if n := len(d.Alerts()); n != 0 {
+				b.Fatalf("benign churn raised %d alerts", n)
+			}
+			if got := d.ActiveCalls(); got < resident*9/10 || got >= slots {
+				b.Fatalf("%d monitors resident, want about %d", got, resident)
+			}
+			b.ReportMetric(float64(d.ActiveCalls()), "resident")
+		})
+	}
+}
+
 // BenchmarkEFSMStep measures one guarded machine transition.
 func BenchmarkEFSMStep(b *testing.B) {
 	spec := core.NewSpec("bench", "A")

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vids/internal/trace"
+	"vids/internal/witness"
 )
 
 // computeOnce caches the (expensive) full measurement for the tests
@@ -187,21 +188,21 @@ func TestWrittenTracesReplayable(t *testing.T) {
 		t.Fatalf("computeReport: %v", err)
 	}
 	rec := newRecorder()
-	for _, gt := range gapTraces() {
-		f, err := os.Open(filepath.Join(dir, gt.name+".jsonl"))
+	for _, gt := range witness.Traces() {
+		f, err := os.Open(filepath.Join(dir, gt.Name+".jsonl"))
 		if err != nil {
 			t.Fatalf("trace not written: %v", err)
 		}
 		entries, err := trace.Read(f)
 		f.Close()
 		if err != nil {
-			t.Fatalf("read %s: %v", gt.name, err)
+			t.Fatalf("read %s: %v", gt.Name, err)
 		}
-		if len(entries) != len(gt.entries) {
-			t.Errorf("%s: wrote %d entries, read %d", gt.name, len(gt.entries), len(entries))
+		if len(entries) != len(gt.Entries) {
+			t.Errorf("%s: wrote %d entries, read %d", gt.Name, len(gt.Entries), len(entries))
 		}
-		if err := replayEntries(entries, rec, "trace:"+gt.name+".jsonl"); err != nil {
-			t.Fatalf("replay %s: %v", gt.name, err)
+		if err := replayEntries(entries, rec, "trace:"+gt.Name+".jsonl"); err != nil {
+			t.Fatalf("replay %s: %v", gt.Name, err)
 		}
 	}
 	for _, r := range rep.Transitions {

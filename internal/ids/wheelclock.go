@@ -57,11 +57,19 @@ func (wc *wheelClock) cancel(t *timerwheel.Timer) { wc.wheel.Cancel(t) }
 // sync makes sure an anchor event is armed at or before the wheel's
 // earliest pending deadline. Next may only underestimate, so a wake-up
 // armed off it never sleeps past a real deadline — at worst the
-// anchor fires early, advances past nothing, and re-arms closer.
+// anchor fires early, advances past nothing (or cascades a coarse
+// slot), and re-arms closer. The wheel's clock lags the simulator
+// between Advances, so Next may report an instant already in the
+// past; the anchor is clamped to the present, because an anchor armed
+// in the past runs at Now with anchorAt ≠ Now, is ignored, and would
+// leave every timer stalled behind it.
 func (wc *wheelClock) sync() {
 	next, ok := wc.wheel.Next()
 	if !ok {
 		return
+	}
+	if now := wc.sim.Now(); next < now {
+		next = now
 	}
 	if wc.anchorArmed && wc.anchorAt <= next {
 		return

@@ -3,8 +3,6 @@ package ingress
 import (
 	"bytes"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -15,6 +13,7 @@ import (
 	"vids/internal/scenario"
 	"vids/internal/sim"
 	"vids/internal/trace"
+	"vids/internal/witness"
 	"vids/internal/workload"
 )
 
@@ -99,28 +98,18 @@ func TestFastpathScenarioParity(t *testing.T) {
 // hand-authored speccover witness traces — the packet sequences built
 // to reach transitions the scenarios do not, including the reorder,
 // absorb and post-close corners most likely to disagree with a cache.
+// The traces are synthesized in-process, the same sequences
+// `make speccover` writes to coverage-traces/.
 func TestFastpathWitnessTraceParity(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "coverage-traces", "*.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	traces := witness.Traces()
+	if len(traces) < 14 {
+		t.Fatalf("found %d witness traces, want at least 14", len(traces))
 	}
-	if len(paths) < 14 {
-		t.Fatalf("found %d witness traces, want at least 14", len(paths))
-	}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
+	for _, wt := range traces {
+		wt := wt
+		t.Run(wt.Name+".jsonl", func(t *testing.T) {
 			t.Parallel()
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			entries, err := trace.Read(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertFastpathParity(t, filepath.Base(path), entries)
+			assertFastpathParity(t, wt.Name+".jsonl", wt.Entries)
 		})
 	}
 }

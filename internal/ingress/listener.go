@@ -76,15 +76,18 @@ func (ul *UDPListeners) Run(ctx context.Context, ing *Ingress) error {
 	}
 
 	var err error
+	running := len(conns)
 	select {
 	case err = <-errc:
+		running--
 	case <-ctx.Done():
 	}
-	// Unblock the remaining readers and wait them all out.
+	// Unblock the remaining readers and wait them all out: a reader
+	// still running would return its prefetched buffers after Run.
 	for _, c := range conns {
 		c.Close()
 	}
-	for i := 1; i < len(conns); i++ {
+	for ; running > 0; running-- {
 		<-errc
 	}
 	return err

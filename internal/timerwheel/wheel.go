@@ -13,9 +13,18 @@
 // high — under the engine's anchor discipline every batch of expiries
 // shares one deadline, so this matches the simulator's
 // schedule-order tie-break.
+//
+// Next, which the anchor discipline calls on every arm, costs
+// O(numLevels) plus one finest-level slot, whatever the number of
+// armed timers: it is exact on the finest level and reports the start
+// of the earliest occupied bucket on coarser ones. A wake-up at a
+// bucket start cascades that bucket one level finer, so a timer
+// passes through at most numLevels slots before it fires (a deadline
+// parked beyond the top level re-parks once per top-level span).
 package timerwheel
 
 import (
+	"math"
 	"math/bits"
 	"time"
 )
@@ -103,7 +112,7 @@ func (w *Wheel) Arm(t *Timer, deadline time.Duration) {
 		deadline = w.now
 	}
 	t.deadline = deadline
-	w.place(t)
+	w.place(t, w.now)
 	w.count++
 }
 
@@ -120,9 +129,9 @@ func (w *Wheel) Cancel(t *Timer) {
 }
 
 // place links t into the slot covering its deadline, choosing the
-// lowest level whose 64-slot window (relative to w.now) contains it.
-func (w *Wheel) place(t *Timer) {
-	delta := uint64(t.deadline - w.now)
+// lowest level whose 64-slot window (relative to now) contains it.
+func (w *Wheel) place(t *Timer, now time.Duration) {
+	delta := uint64(t.deadline - now)
 	level := numLevels - 1
 	for l := 0; l < numLevels; l++ {
 		if delta>>shift(l) < numSlots {
@@ -134,7 +143,7 @@ func (w *Wheel) place(t *Timer) {
 	// bucket; they cascade toward exactness as the clock approaches.
 	pos := uint64(t.deadline)
 	if level == numLevels-1 {
-		if max := uint64(w.now) + (uint64(numSlots)<<shift(level) - 1); pos > max {
+		if max := uint64(now) + (uint64(numSlots)<<shift(level) - 1); pos > max {
 			pos = max
 		}
 	}
@@ -174,28 +183,62 @@ func (w *Wheel) unlink(t *Timer) {
 	w.count--
 }
 
-// Next reports the earliest pending deadline. The estimate errs only
-// toward earliness (a parked far-future entry may report its bucket's
-// horizon); callers re-arming a wake-up off Next never sleep past a
-// real deadline.
+// Next reports a lower bound on the earliest pending deadline. The
+// bound is exact on the finest level; on a coarser level it is the
+// start instant of the earliest occupied slot, so Next never walks
+// the thousands of entries a coarse slot can hold — its cost is
+// O(numLevels) plus one finest-level slot, whatever the number of
+// armed timers. The current slot of each level is walked exactly: it
+// holds only entries due within the current tick and wrap-around
+// entries a whole level span out, both few.
+//
+// The bound errs only toward earliness, so a caller re-arming a
+// wake-up off Next never sleeps past a real deadline. Advancing to a
+// coarse slot's start cascades that slot to finer levels, after which
+// Next reports a strictly later instant: driving the wheel with
+// Advance(Next()) moves each timer through at most numLevels slots
+// before it fires (plus one re-park per top-level span for a deadline
+// parked beyond it).
 func (w *Wheel) Next() (time.Duration, bool) {
-	best := time.Duration(0)
-	found := false
+	if w.count == 0 {
+		return 0, false
+	}
+	best := time.Duration(math.MaxInt64)
 	for l := 0; l < numLevels; l++ {
 		occ := w.occupied[l]
 		if occ == 0 {
 			continue
 		}
-		cur := int((uint64(w.now) >> shift(l)) & slotMask)
-		rot := bits.RotateLeft64(occ, -cur)
-		slot := (cur + bits.TrailingZeros64(rot)) & slotMask
-		for t := w.slots[l][slot].head; t != nil; t = t.next {
-			if !found || t.deadline < best {
-				best, found = t.deadline, true
+		sh := shift(l)
+		tick := uint64(w.now) >> sh
+		cur := int(tick & slotMask)
+		if occ&(1<<cur) != 0 {
+			best = min(best, w.slotMin(l, cur))
+			occ &^= 1 << cur
+			if occ == 0 {
+				continue
 			}
 		}
+		off := bits.TrailingZeros64(bits.RotateLeft64(occ, -cur))
+		if l == 0 {
+			best = min(best, w.slotMin(l, (cur+off)&slotMask))
+		} else {
+			best = min(best, time.Duration((tick+uint64(off))<<sh))
+		}
 	}
-	return best, found
+	return best, true
+}
+
+// slotMin reports the earliest deadline in an occupied slot.
+func (w *Wheel) slotMin(level, slot int) time.Duration {
+	t := w.slots[level][slot].head
+	best := t.deadline
+	for t = t.next; t != nil; t = t.next {
+		if t.deadline < best {
+			best = t.deadline
+		}
+	}
+	return best
 }
 
 // Advance moves the clock to now and fires every timer whose deadline
@@ -247,23 +290,24 @@ func (w *Wheel) collect(now time.Duration) {
 			if w.occupied[l]&(1<<slot) == 0 {
 				continue
 			}
+			// Detach the whole slot first: a survivor may re-place
+			// into this very slot (the wrap-around case), and must
+			// not be visited again.
 			t := w.slots[l][slot].head
+			w.slots[l][slot] = slotList{}
+			w.occupied[l] &^= 1 << slot
 			for t != nil {
 				next := t.next
 				if t.deadline <= now {
-					w.unlink(t)
+					t.next, t.prev, t.wheel = nil, nil, nil
+					w.count--
 					t.expiring = true
 					w.expired = append(w.expired, t)
-				} else if l > 0 {
-					// Survivor in a passed (or current) coarse
-					// bucket: re-place relative to the new now so it
-					// lands on a finer level.
-					w.unlink(t)
-					saved := w.now
-					w.now = now
-					w.place(t)
-					w.now = saved
-					w.count++
+				} else {
+					// Survivor: re-place relative to the new now,
+					// which moves a passed (or current) coarse
+					// bucket's entry to a finer level.
+					w.place(t, now)
 				}
 				t = next
 			}

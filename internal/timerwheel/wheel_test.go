@@ -187,7 +187,9 @@ func TestCallbackRearmsSibling(t *testing.T) {
 
 // Property: for random deadlines consumed via the Next/Advance anchor
 // loop, every timer fires exactly at its deadline in nondecreasing
-// deadline order, and the wheel drains completely.
+// deadline order, and the wheel drains completely. Every step makes
+// progress — it fires a timer or cascades a coarse slot one level
+// down — so the loop takes at most numLevels steps per timer.
 func TestRandomDeadlinesAnchorLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -202,12 +204,15 @@ func TestRandomDeadlinesAnchorLoop(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for steps := 0; r.w.Len() > 0; steps++ {
-			if steps > 100*n {
-				t.Fatalf("trial %d: anchor loop did not drain (%d left)", trial, r.w.Len())
+			if steps >= numLevels*n {
+				t.Fatalf("trial %d: anchor loop did not drain in %d steps (%d left)", trial, steps, r.w.Len())
 			}
 			at, ok := r.w.Next()
 			if !ok {
 				t.Fatalf("trial %d: Next lost %d timers", trial, r.w.Len())
+			}
+			if steps > 0 && at <= r.w.Now() {
+				t.Fatalf("trial %d: Next %v made no progress past %v", trial, at, r.w.Now())
 			}
 			r.w.Advance(at)
 		}
@@ -276,5 +281,210 @@ func TestAllocationFreeSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("arm/cancel/advance allocated %.1f per cycle, want 0", allocs)
+	}
+}
+
+// refTimer is one timer of the reference model: a plain record of
+// what the wheel should hold, checked by brute force.
+type refTimer struct {
+	tm       Timer
+	armed    bool
+	deadline time.Duration
+	armedAt  time.Duration // wheel clock at the last Arm
+	seq      int           // global Arm order
+}
+
+// refFire is one expiry as the wheel reported it.
+type refFire struct {
+	at       time.Duration
+	deadline time.Duration
+	armedAt  time.Duration
+	seq      int
+}
+
+// Property: random interleavings of Arm, Cancel, re-Arm, Next and
+// Advance(Next()) agree with a brute-force reference. Next never
+// exceeds the true earliest deadline (nor lags the clock), the anchor
+// loop always makes progress, and every armed timer fires exactly
+// once, at its exact deadline, in deadline order — timers sharing a
+// deadline and an arm instant in arm order. The mix crowds thousands
+// of timers into one coarse slot (the close-linger regime of a churn
+// of short calls) and parks some deadlines beyond the top level.
+func TestNextAgainstReference(t *testing.T) {
+	const (
+		n     = 4000
+		crowd = 3000
+		ops   = 6000
+	)
+	spanTop := time.Duration(uint64(numSlots) << shift(numLevels-1))
+	for trial := 0; trial < 4; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		var w *Wheel
+		var fires []refFire
+		w = New(func(tm *Timer) {
+			rt := tm.Owner.(*refTimer)
+			if !rt.armed {
+				t.Fatalf("trial %d: fired a timer the reference holds unarmed", trial)
+			}
+			rt.armed = false
+			fires = append(fires, refFire{w.Now(), rt.deadline, rt.armedAt, rt.seq})
+		})
+		rts := make([]refTimer, n)
+		for i := range rts {
+			rts[i].tm.Owner = &rts[i]
+		}
+		seq := 0
+		arm := func(rt *refTimer, d time.Duration) {
+			w.Arm(&rt.tm, d)
+			if d < w.Now() {
+				d = w.Now()
+			}
+			rt.armed, rt.deadline, rt.armedAt, rt.seq = true, d, w.Now(), seq
+			seq++
+		}
+		// delay draws from every level, the past (clamped), and
+		// beyond the top level's span (parked).
+		delay := func() time.Duration {
+			switch rng.Intn(8) {
+			case 0:
+				return -time.Duration(rng.Int63n(int64(time.Second)))
+			case 1:
+				return 0
+			case 2:
+				return time.Duration(rng.Int63n(int64(64 * time.Millisecond)))
+			case 3:
+				return time.Duration(rng.Int63n(int64(4 * time.Second)))
+			case 4:
+				return time.Duration(rng.Int63n(int64(5 * time.Minute)))
+			case 5:
+				return time.Duration(rng.Int63n(int64(6 * time.Hour)))
+			case 6:
+				return spanTop + time.Duration(rng.Int63n(int64(4*spanTop)))
+			default:
+				return 250*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Second)))
+			}
+		}
+		earliest := func() (time.Duration, int) {
+			best, live := time.Duration(0), 0
+			for i := range rts {
+				if rts[i].armed {
+					if live == 0 || rts[i].deadline < best {
+						best = rts[i].deadline
+					}
+					live++
+				}
+			}
+			return best, live
+		}
+		next := func() (time.Duration, bool) {
+			at, ok := w.Next()
+			want, live := earliest()
+			if ok != (live > 0) || w.Len() != live {
+				t.Fatalf("trial %d: Next ok=%v, Len=%d, reference holds %d", trial, ok, w.Len(), live)
+			}
+			if ok && (at > want || at < w.Now()) {
+				t.Fatalf("trial %d: Next=%v outside [now %v, earliest deadline %v]", trial, at, w.Now(), want)
+			}
+			return at, ok
+		}
+		step := func() bool {
+			at, ok := next()
+			if !ok {
+				return false
+			}
+			w.Advance(at)
+			if at2, ok := next(); ok && at2 <= at {
+				t.Fatalf("trial %d: anchor loop stuck: Next=%v after Advance(%v)", trial, at2, at)
+			}
+			return true
+		}
+
+		// Crowd one coarse slot: the deadlines share a single
+		// level-2 bucket, several seconds out.
+		sh := shift(2)
+		base := time.Duration(((uint64(w.Now()+10*time.Second) >> sh) + 1) << sh)
+		for i := 0; i < crowd; i++ {
+			arm(&rts[i], base+time.Duration(rng.Int63n(int64(1)<<sh)))
+		}
+		for op := 0; op < ops; op++ {
+			rt := &rts[rng.Intn(n)]
+			switch r := rng.Intn(10); {
+			case r < 4:
+				arm(rt, w.Now()+delay()) // arms, or re-arms a pending timer
+			case r < 6:
+				w.Cancel(&rt.tm)
+				rt.armed = false
+			case r < 7:
+				next()
+			default:
+				step()
+			}
+		}
+		live := w.Len()
+		steps := 0
+		for step() {
+			steps++
+			// Each step fires a timer or cascades a slot one level
+			// down; a parked timer re-parks once per top-level span.
+			if steps > (numLevels+6)*live {
+				t.Fatalf("trial %d: drain of %d timers exceeded %d steps", trial, live, steps)
+			}
+		}
+		if w.Len() != 0 {
+			t.Fatalf("trial %d: %d timers left after drain", trial, w.Len())
+		}
+		for i := range rts {
+			if rts[i].armed {
+				t.Fatalf("trial %d: timer %d never fired (deadline %v)", trial, i, rts[i].deadline)
+			}
+		}
+		for i, f := range fires {
+			if f.at != f.deadline {
+				t.Fatalf("trial %d: fire %d at %v, deadline %v", trial, i, f.at, f.deadline)
+			}
+			if i == 0 {
+				continue
+			}
+			p := fires[i-1]
+			if f.deadline < p.deadline {
+				t.Fatalf("trial %d: fire %d (deadline %v) after a later deadline %v", trial, i, f.deadline, p.deadline)
+			}
+			if f.deadline == p.deadline && f.armedAt == p.armedAt && f.seq < p.seq {
+				t.Fatalf("trial %d: same-deadline timers armed at %v fired out of arm order", trial, f.armedAt)
+			}
+		}
+		if len(fires) < crowd {
+			t.Fatalf("trial %d: only %d fires", trial, len(fires))
+		}
+	}
+}
+
+// The current slot of a level also holds wrap-around entries a whole
+// level span out. Next must not take them for the level's earliest
+// (a later slot may hold sooner deadlines), and collect must not chase
+// survivors that re-place into the slot being drained.
+func TestWrapAroundSlot(t *testing.T) {
+	for l := 0; l < 2; l++ {
+		r := newRec()
+		r.w.Advance(time.Duration(1)<<shift(l) + 1) // unaligned clock
+		span := time.Duration(uint64(numSlots) << shift(l))
+		var wrapA, wrapB, soon Timer
+		r.w.Arm(&wrapA, r.w.Now()+span-1)
+		r.w.Arm(&wrapB, r.w.Now()+span-1)
+		r.w.Arm(&soon, r.w.Now()+time.Duration(1)<<shift(l)+3)
+		if int(wrapA.level) != l || int(wrapA.slot) != int(uint64(r.w.Now())>>shift(l))&slotMask {
+			t.Fatalf("level %d setup: wrap timer at level %d slot %d, want the current slot", l, wrapA.level, wrapA.slot)
+		}
+		if at, _ := r.w.Next(); at > soon.Deadline() {
+			t.Fatalf("level %d: Next=%v skipped past the sooner deadline %v", l, at, soon.Deadline())
+		}
+		r.w.Advance(r.w.Now() + 1) // wrap survivors re-place into the drained slot
+		for r.w.Len() > 0 {
+			at, _ := r.w.Next()
+			r.w.Advance(at)
+		}
+		if len(r.fired) != 3 || r.fired[0] != &soon || r.ats[0] != soon.Deadline() || r.ats[2] != wrapB.Deadline() {
+			t.Fatalf("level %d: fired %d timers at %v", l, len(r.fired), r.ats)
+		}
 	}
 }
