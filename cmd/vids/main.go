@@ -9,15 +9,15 @@
 //	vids [-scenario bye-dos|cancel-dos|invite-flood|media-spam|rtp-flood|codec-change|hijack|toll-fraud|drdos|register-hijack|rtcp-bye|clean|all] [-report alerts.json]
 //	vids -replay trace.jsonl [-shards N]
 //
-// Both modes run the specgen-compiled EFSM backend by default;
-// -compiled=false switches to the interpreted reference walker (the
-// two are differentially tested to produce identical alerts).
+// Both modes run the specgen-compiled EFSM backend; the interpreted
+// reference walker it is differentially tested against is a test
+// oracle, not a runtime option.
 //
 // With -shards N > 0 the replay runs through the multi-lane ingestion
 // tier feeding the concurrent sharded engine (internal/ingress,
-// internal/engine) — including the per-flow RTP validation cache
-// unless -fastpath=false — and the resulting alert set is verified
-// against a single-threaded replay of the same trace.
+// internal/engine) — including the per-flow RTP validation cache — and
+// the resulting alert set is verified against a single-threaded replay
+// of the same trace.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"vids/internal/ingress"
 	"vids/internal/scenario"
 	"vids/internal/trace"
-	"vids/internal/workload"
 )
 
 func main() {
@@ -51,18 +50,12 @@ func run(args []string) error {
 		replay       = fs.String("replay", "", "analyze a captured packet trace instead of running the testbed")
 		report       = fs.String("report", "", "write the alert report (JSON) to this file")
 		shards       = fs.Int("shards", 0, "replay through the concurrent engine with N shard workers (0 = single-threaded)")
-		compiled     = fs.Bool("compiled", true, "run the specgen-compiled EFSM backend (false = interpreted reference walker)")
-		fastpath     = fs.Bool("fastpath", true, "per-flow RTP validation cache in the sharded replay (shards>0); false = every packet takes the slow path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend := vids.BackendCompiled
-	if !*compiled {
-		backend = vids.BackendInterpreted
-	}
 	if *replay != "" {
-		return replayTrace(*replay, *report, *shards, backend, *fastpath)
+		return replayTrace(*replay, *report, *shards)
 	}
 
 	names := scenario.Names
@@ -70,7 +63,7 @@ func run(args []string) error {
 		names = []string{*scenarioName}
 	}
 	for _, name := range names {
-		if err := runScenario(name, *seed, *report, backend); err != nil {
+		if err := runScenario(name, *seed, *report); err != nil {
 			return fmt.Errorf("scenario %s: %w", name, err)
 		}
 	}
@@ -111,7 +104,7 @@ func writeAlerts(alerts []vids.Alert, path string) error {
 // replayTrace feeds a captured trace into a fresh IDS instance, or —
 // with shards > 0 — into the concurrent sharded engine, in which case
 // the engine's alert set is checked against the single-threaded run.
-func replayTrace(path, report string, shards int, backend vids.Backend, fastpath bool) error {
+func replayTrace(path, report string, shards int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -122,12 +115,10 @@ func replayTrace(path, report string, shards int, backend vids.Backend, fastpath
 		return err
 	}
 	if shards > 0 {
-		return replayEngine(entries, report, shards, backend, fastpath)
+		return replayEngine(entries, report, shards)
 	}
-	cfg := vids.DefaultConfig()
-	cfg.Backend = backend
 	s := vids.NewSimulator(1)
-	d := vids.New(s, cfg)
+	d := vids.New(s, vids.DefaultConfig())
 	d.OnAlert = func(a vids.Alert) { fmt.Printf("ALERT %s\n", a) }
 	if err := trace.Replay(s, entries, d); err != nil {
 		return err
@@ -145,14 +136,13 @@ func replayTrace(path, report string, shards int, backend vids.Backend, fastpath
 // feeding the sharded engine — the path where the per-flow RTP
 // validation cache absorbs in-profile media — and verifies the
 // resulting alert set matches a sequential replay of the same entries:
-// the engine's correctness contract, and with -fastpath on, the
-// cache's alert-parity contract.
-func replayEngine(entries []trace.Entry, report string, shards int, backend vids.Backend, fastpath bool) error {
+// the engine's correctness contract and the cache's alert-parity
+// contract.
+func replayEngine(entries []trace.Entry, report string, shards int) error {
 	idsCfg := vids.DefaultConfig()
-	idsCfg.Backend = backend
 	ing := ingress.New(ingress.Config{
 		Lanes:  1,
-		Engine: engine.Config{Shards: shards, IDS: idsCfg, DisableFastpath: !fastpath},
+		Engine: engine.Config{Shards: shards, IDS: idsCfg},
 	})
 	e := ing.Engine()
 	for i, en := range entries {
@@ -190,12 +180,9 @@ func replayEngine(entries []trace.Entry, report string, shards int, backend vids
 	return writeAlerts(alerts, report)
 }
 
-func runScenario(name string, seed int64, report string, backend vids.Backend) error {
+func runScenario(name string, seed int64, report string) error {
 	fmt.Printf("==== scenario: %s ====\n", name)
-	tb, err := scenario.Run(name, scenario.Options{
-		Seed: seed, Out: os.Stdout,
-		Configure: func(cfg *workload.Config) { cfg.IDS.Backend = backend },
-	})
+	tb, err := scenario.Run(name, scenario.Options{Seed: seed, Out: os.Stdout})
 	if err != nil {
 		return err
 	}

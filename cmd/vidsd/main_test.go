@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -30,6 +31,64 @@ func writeSynthTrace(t *testing.T, cfg engine.SynthConfig) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// readReport decodes the -report document a run wrote.
+func readReport(t *testing.T, path string) reportDoc {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("report not written: %v", err)
+	}
+	var doc reportDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("report is not an alert+stats document: %v\n%s", err, data)
+	}
+	return doc
+}
+
+// assertAccounting checks the pipeline's accounting identity on the
+// drained counters a report records: every ingested packet was
+// processed, dropped, absorbed, ignored or counted as a parse error,
+// and the fast-path hits are a subset of the processed packets.
+func assertAccounting(t *testing.T, st engine.Stats) {
+	t.Helper()
+	if sum := st.Processed + st.Dropped + st.Absorbed + st.Ignored + st.ParseErrors; sum != st.Ingested {
+		t.Errorf("accounting identity broken: ingested %d != processed %d + dropped %d + absorbed %d + ignored %d + parse errors %d",
+			st.Ingested, st.Processed, st.Dropped, st.Absorbed, st.Ignored, st.ParseErrors)
+	}
+	if st.FastpathHits > st.Processed {
+		t.Errorf("fast-path hits %d exceed processed %d", st.FastpathHits, st.Processed)
+	}
+}
+
+// TestDefaultFlagsRunLaneTier: with no -lanes (and no -shards) the
+// daemon runs the ingestion tier with one lane per shard — there is no
+// other way in — and its drained counters balance.
+func TestDefaultFlagsRunLaneTier(t *testing.T) {
+	path := writeSynthTrace(t, engine.SynthConfig{Calls: 10, RTPPerCall: 5, Attacks: true})
+	report := filepath.Join(t.TempDir(), "alerts.json")
+
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-trace", path, "-pace", "0", "-stats", "0", "-report", report}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	m := regexp.MustCompile(`vidsd: (\d+) lane\(s\) -> (\d+) shard\(s\)`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("banner does not report the lane tier:\n%s", stderr.String())
+	}
+	if m[1] != m[2] {
+		t.Errorf("default run: %s lane(s) for %s shard(s), want one lane per shard", m[1], m[2])
+	}
+	doc := readReport(t, report)
+	assertAccounting(t, doc.Stats)
+	if doc.Stats.Ingested == 0 {
+		t.Errorf("report stats empty: %+v", doc.Stats)
+	}
+	if len(doc.Alerts) == 0 {
+		t.Error("attack trace raised no alerts")
+	}
 }
 
 // TestTraceRunToCompletion drives the daemon end to end on a synthetic
@@ -93,23 +152,14 @@ func TestEOFDrainFlushesStatsAndReport(t *testing.T) {
 	if !strings.Contains(out, "vidsd: report written to") {
 		t.Errorf("report not announced:\n%s", out)
 	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatalf("report not written on EOF exit: %v", err)
-	}
-	var doc struct {
-		Alerts []ids.Alert  `json:"alerts"`
-		Stats  engine.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("report is not an alert+stats document: %v\n%s", err, data)
-	}
+	doc := readReport(t, report)
 	if doc.Alerts == nil {
-		t.Errorf("report has no alerts array:\n%s", data)
+		t.Errorf("report has no alerts array: %+v", doc)
 	}
 	if doc.Stats.Ingested == 0 {
-		t.Errorf("report stats empty:\n%s", data)
+		t.Errorf("report stats empty: %+v", doc.Stats)
 	}
+	assertAccounting(t, doc.Stats)
 }
 
 // TestLanesRunToCompletion drives the multi-lane ingestion tier end to
@@ -134,30 +184,21 @@ func TestLanesRunToCompletion(t *testing.T) {
 	if !strings.Contains(stdout.String(), "ALERT") {
 		t.Errorf("no alerts on stdout:\n%s", stdout.String())
 	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Alerts []ids.Alert  `json:"alerts"`
-		Stats  engine.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("report: %v\n%s", err, data)
-	}
-	if !strings.Contains(string(data), "invite-flood") {
-		t.Errorf("report missing expected alert types:\n%s", data)
+	doc := readReport(t, report)
+	if !hasAlert(doc.Alerts, ids.AlertInviteFlood) {
+		t.Errorf("report missing expected alert types: %+v", doc.Alerts)
 	}
 	if doc.Stats.Dropped != 0 {
 		t.Errorf("lossless trace replay dropped %d packets", doc.Stats.Dropped)
 	}
+	assertAccounting(t, doc.Stats)
 }
 
 // TestFastpathCountersSurfaced pins the operator-visible fast-path
-// accounting: on a benign media-heavy trace through the lane tier the
-// cache must absorb packets, the stderr stats line must carry the
-// fp-* counters, and the JSON report must record them. The same trace
-// with -fastpath=false must absorb nothing — and detect identically.
+// accounting: on a benign media-heavy trace the cache must absorb
+// packets, the stderr stats line must carry the fp-* counters, and the
+// JSON report must record them. On/off alert parity is pinned against
+// engine.Config.DisableFastpath by the ingress parity tests.
 func TestFastpathCountersSurfaced(t *testing.T) {
 	path := writeSynthTrace(t, engine.SynthConfig{Calls: 4, RTPPerCall: 40})
 	report := filepath.Join(t.TempDir(), "alerts.json")
@@ -174,55 +215,19 @@ func TestFastpathCountersSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "fp-hits=") {
-		t.Errorf("stats line missing fast-path counters:\n%s", stderr.String())
+	for _, counter := range []string{"fp-hits=", "fp-misses=", "fp-escalations=", "fp-invalidations="} {
+		if !strings.Contains(stderr.String(), counter) {
+			t.Errorf("stats line missing %s:\n%s", counter, stderr.String())
+		}
 	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Alerts []ids.Alert  `json:"alerts"`
-		Stats  engine.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("report: %v\n%s", err, data)
-	}
+	doc := readReport(t, report)
 	if doc.Stats.FastpathHits == 0 {
 		t.Errorf("benign media-heavy trace absorbed nothing: %+v", doc.Stats)
 	}
-	if got := doc.Stats.FastpathHits + doc.Stats.FastpathMisses + doc.Stats.FastpathEscalations; got == 0 {
-		t.Errorf("fast-path counters all zero in report:\n%s", data)
+	if len(doc.Alerts) != 0 {
+		t.Errorf("benign trace raised %d alert(s): %+v", len(doc.Alerts), doc.Alerts)
 	}
-
-	stdout.Reset()
-	stderr.Reset()
-	offReport := filepath.Join(t.TempDir(), "alerts-off.json")
-	err = run([]string{
-		"-source", "trace", "-trace", path, "-pace", "0",
-		"-shards", "1", "-lanes", "1", "-queue", "4", "-stats", "0",
-		"-fastpath=false", "-report", offReport,
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("run -fastpath=false: %v\nstderr: %s", err, stderr.String())
-	}
-	offData, err := os.ReadFile(offReport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offDoc struct {
-		Alerts []ids.Alert  `json:"alerts"`
-		Stats  engine.Stats `json:"stats"`
-	}
-	if err := json.Unmarshal(offData, &offDoc); err != nil {
-		t.Fatalf("report: %v\n%s", err, offData)
-	}
-	if offDoc.Stats.FastpathHits != 0 || offDoc.Stats.FastpathMisses != 0 {
-		t.Errorf("-fastpath=false still consulted the cache: %+v", offDoc.Stats)
-	}
-	if len(doc.Alerts) != len(offDoc.Alerts) {
-		t.Errorf("alert count diverges across -fastpath: on=%d off=%d", len(doc.Alerts), len(offDoc.Alerts))
-	}
+	assertAccounting(t, doc.Stats)
 }
 
 // TestSRTPFlag: header-only mode must run clean end to end and stay
@@ -255,6 +260,15 @@ func TestDropPolicyFlag(t *testing.T) {
 	}
 }
 
+func hasAlert(alerts []ids.Alert, typ ids.AlertType) bool {
+	for _, a := range alerts {
+		if a.Type == typ {
+			return true
+		}
+	}
+	return false
+}
+
 func TestFlagErrors(t *testing.T) {
 	var out bytes.Buffer
 	cases := [][]string{
@@ -262,6 +276,8 @@ func TestFlagErrors(t *testing.T) {
 		{"-source", "bogus"},
 		{"-source", "trace"}, // no -trace file
 		{"-nope"},
+		{"-compiled=false"}, // reference backend is test-only
+		{"-fastpath=false"}, // so is the cache-off path
 	}
 	for _, args := range cases {
 		if err := run(args, &out, &out); err == nil {

@@ -1,20 +1,20 @@
 // Package bufpool provides a fixed-size datagram-buffer free list for
-// the live ingestion paths (engine.UDPSource, ingress.UDPListeners).
+// the live ingestion path (ingress.UDPListeners).
 //
 // A UDP reader needs a maximum-datagram-sized buffer per read, and the
 // engine keeps the payload referenced until the owning shard has
 // analyzed the packet — so the buffer cannot be reused immediately and
 // a naive reader allocates ~64 KiB per datagram. The pool mirrors the
 // CallMonitor free list in internal/ids: buffers are recycled
-// explicitly at end-of-life (the engine's OnRetire hook) rather than
-// left for the garbage collector, so a steady-state capture loop
+// explicitly at end-of-life (the ingress tier's retire hook) rather
+// than left for the garbage collector, so a steady-state capture loop
 // allocates nothing.
 //
 // The pool only ever adopts buffers of its own size class: Put drops
 // foreign slices (for example trace-replay payloads retired through
-// the same engine hook) instead of mixing capacities into the free
-// list. That keeps Get's contract trivial — every buffer it returns
-// has the full capacity a datagram read needs.
+// the same hook) instead of mixing capacities into the free list. That
+// keeps Get's contract trivial — every buffer it returns has the full
+// capacity a datagram read needs.
 package bufpool
 
 import "sync"

@@ -1,25 +1,26 @@
-// Package engine runs vids online: a sharded, concurrent detection
-// pipeline wrapping the per-call machinery of internal/ids.
+// Package engine is vids' detection shard pool: N workers, each with
+// its own ids.IDS fact base on its own virtual clock, behind the
+// ingestion tier (internal/ingress), which is the only way a packet
+// enters.
 //
 // The paper argues vids scales because per-call EFSM pairs are
 // independent (Section 7.3): one call's SIP machine, its two RTP
 // machines and the δ channels between them never touch another call's
-// state. The engine exploits exactly that independence. It owns N
-// shard workers, each with its own ids.IDS fact base on its own
-// virtual clock, and routes every packet to the shard that owns its
-// call: SIP by FNV hash of the Call-ID, RTP and RTCP through a media
-// key → Call-ID index maintained from the SDP offers the router sees
-// crossing it. Both machines of a call and their δ channels therefore
-// always live on one shard, and the hot path takes no cross-shard
-// locks.
+// state. The pool exploits exactly that independence. The ingress
+// lanes route every packet to the shard that owns its call — SIP by
+// FNV hash of the Call-ID (ShardIndexFor), RTP and RTCP through the
+// media routes the lanes learn from SDP — and hand it over with
+// EnqueueRaw or EnqueueMedia. Both machines of a call and their δ
+// channels therefore always live on one shard, and the hot path takes
+// no cross-shard locks.
 //
 // The only detectors that cannot be shard-local are the cross-call
 // windowed ones — the per-destination INVITE flood (Figure 4) and the
 // DRDoS response-reflection counter — because a flood deliberately
 // spreads over many Call-IDs and would scatter across shards. The
-// router runs one shared ids.FloodWatch at its single serialized
-// ingestion point and configures every shard with ExternalFloods so
-// the shard-local copies stay silent.
+// ingress lanes run those windows, every shard is configured with
+// ExternalFloods so its local copies stay silent, and lane alerts
+// join the pool's alert plane through RecordAlert.
 package engine
 
 import (
@@ -32,8 +33,6 @@ import (
 
 	"vids/internal/fastpath"
 	"vids/internal/ids"
-	"vids/internal/intern"
-	"vids/internal/sdp"
 	"vids/internal/sim"
 	"vids/internal/sipmsg"
 )
@@ -43,7 +42,7 @@ import (
 type Policy int
 
 const (
-	// Block makes Ingest wait for queue space: lossless, the right
+	// Block makes the enqueue wait for queue space: lossless, the right
 	// policy for trace replay where input pacing is elastic.
 	Block Policy = iota
 	// DropOldest evicts the oldest queued packet to admit the newest,
@@ -84,50 +83,45 @@ type Config struct {
 	// QueueDepth bounds each shard's pending-packet queue. Zero or
 	// negative means 1024.
 	QueueDepth int
-	// Policy selects what Ingest does when a shard queue is full.
+	// Policy selects what an enqueue does when a shard queue is full.
 	Policy Policy
 	// IDS configures each shard's detector instance. The zero value
 	// means ids.DefaultConfig(). ExternalFloods is forced on: the
-	// engine always runs the one shared FloodWatch itself.
+	// ingress lanes run the cross-call flood windows.
 	IDS ids.Config
 	// DisableFastpath turns off the per-flow RTP validation cache the
-	// ingress tier consults before shard enqueue (the -fastpath=false
-	// escape hatch). The zero value keeps it on.
+	// ingress tier consults before shard enqueue. It is the reference
+	// path for the fast-path parity tests and benchmarks; the zero
+	// value keeps the cache on.
 	DisableFastpath bool
 	// OnAlert, when set, observes every alert as it is raised. The
 	// engine serializes the calls (alerts originate on shard workers
-	// and inside Ingest, but never overlap), so an unsynchronized
+	// and ingress lanes, but never overlap), so an unsynchronized
 	// writer is fine. The callback must not call back into the
-	// engine's Ingest or Close.
+	// engine's enqueue methods, Alerts or Close.
 	OnAlert func(ids.Alert)
-	// OnRetire, when set, observes every ingested packet exactly once
+	// OnRetire, when set, observes every enqueued packet exactly once
 	// after the engine is finished with it — analyzed by a shard,
-	// absorbed at the router, evicted under DropOldest/Shed, counted
-	// as a parse error, or ignored as non-VoIP. Live sources use it to
-	// return receive buffers to a bufpool free list. It may run on any
-	// goroutine, is never invoked under an engine lock, and must not
-	// call back into Ingest or Close.
+	// evicted under DropOldest/Shed, or counted as a parse error. The
+	// ingress tier chains its buffer-pool recycler in front of it and
+	// retires the packets it disposes of itself the same way. It may
+	// run on any goroutine, is never invoked under an engine lock, and
+	// must not call back into the engine's enqueue methods or Close.
 	OnRetire func(*sim.Packet)
 }
 
-// ErrClosed is returned by Ingest after Close has begun.
+// ErrClosed is returned by EnqueueRaw and EnqueueMedia after Close has
+// begun.
 var ErrClosed = errors.New("engine: closed")
 
-// internTableCap bounds the router's string-intern table, sized like
-// the shard-side one: enough for the media keys and flood destinations
-// of a large live population without growing without bound.
-const internTableCap = 4096
-
-// item is one unit of shard work: a packet, its capture timestamp,
-// and — for SIP — the parse the router already did to route it. Media
-// escalated by the fast-path cache additionally carries its flow's
+// item is one unit of shard work: a packet and its capture timestamp.
+// Media escalated by the fast-path cache additionally carries its flow's
 // in-flight reference, the epoch its arm offer must match, and — for
 // the first packet after a stretch of absorption — the resync
 // snapshot the worker applies before delivery.
 type item struct {
 	pkt *sim.Packet
 	at  time.Duration
-	sip *sipmsg.Message
 
 	fpFlow    *fastpath.Flow
 	fpEpoch   uint64
@@ -138,7 +132,7 @@ type item struct {
 // shard is one detection worker: a bounded ring of pending items
 // feeding a single-goroutine ids.IDS on its own virtual clock.
 //
-// The router→worker handoff is batched: producers append single items
+// The lane→worker handoff is batched: producers append single items
 // to the ring under the shard mutex, but the worker detaches the
 // whole backlog in one critical section and analyzes it outside the
 // lock, so a busy shard pays one synchronization round-trip per batch
@@ -151,9 +145,9 @@ type shard struct {
 	ids  *ids.IDS
 	done chan struct{}
 
-	// parseErrs aliases the engine's parse-error counter: raw SIP
-	// handed over by the ingress tier is parsed here on the worker,
-	// and a failure is pipeline accounting, not shard accounting.
+	// parseErrs aliases the engine's parse-error counter: raw SIP is
+	// parsed here on the worker, and a failure is pipeline accounting,
+	// not shard accounting.
 	parseErrs *atomic.Uint64
 	// retire is Config.OnRetire (nil when unset), invoked outside the
 	// queue lock for every packet this shard consumes or evicts.
@@ -182,8 +176,8 @@ type shard struct {
 	alerts     atomic.Uint64
 }
 
-// Engine is the online detection pipeline. Create instances with New;
-// the zero value is not usable.
+// Engine is the detection shard pool. Create instances with New (the
+// ingress tier does); the zero value is not usable.
 type Engine struct {
 	cfg    Config
 	shards []*shard
@@ -192,37 +186,20 @@ type Engine struct {
 	// before shard enqueue; nil when Config.DisableFastpath is set.
 	fp *fastpath.Cache
 
-	// Router state. The router is the single point that sees the whole
-	// packet stream, so the cross-call detectors and the routing
-	// indexes live here, under one mutex. Shard work happens outside
-	// it.
-	mu         sync.Mutex
-	clock      *sim.Simulator           // drives FloodWatch windows and index GC
-	fw         *ids.FloodWatch          // shared cross-call detectors
-	fwAlerts   []ids.Alert              // alerts the router itself raised
-	media      map[string]string        // media key -> owning Call-ID
-	calls      map[string]time.Duration // Call-ID -> last activity (stray-response test + GC)
-	gone       map[string]time.Duration // Call-ID -> when the sweep forgot it (router tombstones)
-	keyBuf     []byte                   // reusable media-key scratch, guarded by mu
-	strings    *intern.Table            // media keys / flood dests, guarded by mu
-	retain     time.Duration            // how long idle routing entries survive
-	sweepArmed bool
+	// alertMu guards laneAlerts and serializes cfg.OnAlert delivery
+	// across the shard workers and the ingress lanes.
+	alertMu    sync.Mutex
+	laneAlerts []ids.Alert // flood alerts the ingress lanes raised (RecordAlert)
 
 	ingested    atomic.Uint64
 	parseErrors atomic.Uint64
-	absorbed    atomic.Uint64 // stray responses consumed by the router
+	absorbed    atomic.Uint64 // stray responses consumed by an ingress lane
 	ignored     atomic.Uint64 // non-VoIP packets
 	alertCount  atomic.Uint64
 
 	closed   atomic.Bool
-	ingestWG sync.WaitGroup // in-flight Ingest calls, so Close never races a queue send
+	ingestWG sync.WaitGroup // in-flight enqueues, so Close never races a queue send
 	start    time.Time
-
-	// cbMu serializes cfg.OnAlert delivery across shard workers and
-	// the router. Always acquired after e.mu, never before it.
-	//
-	//vids:lockorder Engine.mu -> Engine.cbMu
-	cbMu sync.Mutex
 }
 
 // New creates an engine and starts its shard workers. The caller must
@@ -240,22 +217,9 @@ func New(cfg Config) *Engine {
 	cfg.IDS.ExternalFloods = true
 
 	e := &Engine{
-		cfg:     cfg,
-		clock:   sim.New(0),
-		media:   make(map[string]string),
-		calls:   make(map[string]time.Duration),
-		gone:    make(map[string]time.Duration),
-		strings: intern.New(internTableCap),
-		retain:  cfg.IDS.IdleEviction + cfg.IDS.CloseLinger,
-		start:   time.Now(), //vidslint:allow wallclock — uptime display only
+		cfg:   cfg,
+		start: time.Now(), //vidslint:allow wallclock — uptime display only
 	}
-	e.fw = ids.NewFloodWatch(e.clock, cfg.IDS, func(a ids.Alert) {
-		// Runs under e.mu: FeedInvite/FeedStrayResponse and the router
-		// clock's timers only execute inside Ingest or Close.
-		e.fwAlerts = append(e.fwAlerts, a)
-		e.alertCount.Add(1)
-		e.deliver(a)
-	})
 	if !cfg.DisableFastpath {
 		e.fp = fastpath.New(fastpath.Config{
 			SeqGap:      cfg.IDS.RTP.SeqGap,
@@ -264,7 +228,7 @@ func New(cfg Config) *Engine {
 			RatePackets: cfg.IDS.RTP.RatePackets,
 			// One Touch per quarter of the routing-entry lifetime keeps
 			// the ingress sweeps fed without per-packet bookkeeping.
-			RefreshEvery: e.retain / 4,
+			RefreshEvery: (cfg.IDS.IdleEviction + cfg.IDS.CloseLinger) / 4,
 		})
 	}
 	e.shards = make([]*shard, cfg.Shards)
@@ -310,14 +274,14 @@ func New(cfg Config) *Engine {
 func (e *Engine) Fastpath() *fastpath.Cache { return e.fp }
 
 // deliver hands an alert to the user's OnAlert callback, serializing
-// across the shard workers and the router so the callback never runs
-// concurrently with itself.
+// across the shard workers and the ingress lanes so the callback never
+// runs concurrently with itself.
 func (e *Engine) deliver(a ids.Alert) {
 	if e.cfg.OnAlert == nil {
 		return
 	}
-	e.cbMu.Lock()
-	defer e.cbMu.Unlock()
+	e.alertMu.Lock()
+	defer e.alertMu.Unlock()
 	e.cfg.OnAlert(a)
 }
 
@@ -353,15 +317,9 @@ func (sh *shard) run() {
 		for i := range batch {
 			it := batch[i]
 			_ = sh.sim.RunUntil(it.at)
-			switch {
-			case it.sip != nil:
-				// Router path: the serial router already parsed to route.
-				sh.ids.ProcessSIP(it.sip, it.pkt)
-				sh.processed.Add(1)
-			case it.pkt.Proto == sim.ProtoSIP:
-				// Ingress path: the lane routed on a lite extract and the
-				// shard owns the full parse, so the serial tier never
-				// pays for it.
+			if it.pkt.Proto == sim.ProtoSIP {
+				// The lane routed on a lite extract and the shard owns the
+				// full parse, so parsing scales with the shard count.
 				if raw, ok := it.pkt.Payload.([]byte); ok {
 					if m, err := sipmsg.Parse(raw); err == nil {
 						sh.ids.ProcessSIP(m, it.pkt)
@@ -372,7 +330,7 @@ func (sh *shard) run() {
 				} else {
 					sh.parseErrs.Add(1)
 				}
-			default:
+			} else {
 				if it.fpHasSnap {
 					// First packet after a stretch of fast-path
 					// absorption: bring the machine's window variables
@@ -509,8 +467,8 @@ func isMedia(pkt *sim.Packet) bool {
 }
 
 // shut marks the shard closing and wakes the worker so it drains the
-// backlog and exits. Close has already waited out in-flight Ingest
-// calls, so no producer can be blocked in enqueue at this point.
+// backlog and exits. Close has already waited out in-flight enqueues,
+// so no producer can be blocked in enqueue at this point.
 func (sh *shard) shut() {
 	sh.mu.Lock()
 	sh.closing = true
@@ -548,13 +506,8 @@ func fnv32aBytes(b []byte) uint32 {
 	return h
 }
 
-func (e *Engine) shardFor(key string) *shard {
-	return e.shards[int(fnv32a(key)%uint32(len(e.shards)))]
-}
-
-// ShardIndexFor exposes the Call-ID → shard mapping to the ingress
-// tier, which routes on a lite extract and must land a call's packets
-// on the same worker the router path would pick.
+// ShardIndexFor is the Call-ID → shard mapping the ingress tier routes
+// by, so every packet of one call lands on one worker.
 func (e *Engine) ShardIndexFor(callID string) int {
 	return int(fnv32a(callID) % uint32(len(e.shards)))
 }
@@ -565,21 +518,21 @@ func (e *Engine) ShardIndexForBytes(key []byte) int {
 	return int(fnv32aBytes(key) % uint32(len(e.shards)))
 }
 
-// EnqueueRaw hands a packet straight to shard idx, bypassing the
-// serial router: the ingress tier has already made the routing
-// decision and fed the cross-call detectors on its lanes. Raw SIP
-// payloads (no parsed message attached) are parsed on the shard
-// worker, which is exactly the point — parse and classify scale with
-// the shard count instead of serializing at one router goroutine.
-// Callers own per-call packet ordering, as with Ingest.
+// EnqueueRaw hands a packet to shard idx: the ingress tier has already
+// made the routing decision and fed the cross-call detectors on its
+// lanes. at is the packet's capture timestamp on the trace clock. Raw
+// SIP payloads are parsed on the shard worker, so parse and classify
+// scale with the shard count. Callers own per-call packet ordering.
+// EnqueueRaw is safe for concurrent use and returns ErrClosed once
+// Close has begun.
 func (e *Engine) EnqueueRaw(idx int, pkt *sim.Packet, at time.Duration) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
 	e.ingestWG.Add(1)
 	defer e.ingestWG.Done()
-	// Same double-check as Ingest: Close sets closed before waiting on
-	// the group, so passing this check means the queues are still open.
+	// Re-check after joining the wait group: Close sets closed before
+	// waiting, so passing this check means the queues are still open.
 	if e.closed.Load() {
 		return ErrClosed
 	}
@@ -624,20 +577,22 @@ func (e *Engine) NoteFastpathHit(idx int) {
 }
 
 // RecordAlert merges an alert raised outside the engine — an ingress
-// lane's FloodWatch — into the router's alert log, the alert counter,
-// and the serialized OnAlert stream.
+// lane's FloodWatch — into the lane alert log, the alert counter, and
+// the serialized OnAlert stream.
 func (e *Engine) RecordAlert(a ids.Alert) {
-	e.mu.Lock()
-	e.fwAlerts = append(e.fwAlerts, a)
-	e.mu.Unlock()
 	e.alertCount.Add(1)
-	e.deliver(a)
+	e.alertMu.Lock()
+	defer e.alertMu.Unlock()
+	e.laneAlerts = append(e.laneAlerts, a)
+	if e.cfg.OnAlert != nil {
+		e.cfg.OnAlert(a)
+	}
 }
 
 // NoteIngested, NoteParseError, NoteAbsorbed and NoteIgnored let the
 // ingress tier account for packets it accepts or disposes of before
 // they reach a shard, so Stats stays a complete census of the
-// pipeline no matter which tier fed it.
+// pipeline.
 func (e *Engine) NoteIngested() { e.ingested.Add(1) }
 
 // NoteParseError counts a datagram that failed the SIP lite extract
@@ -650,205 +605,10 @@ func (e *Engine) NoteAbsorbed() { e.absorbed.Add(1) }
 // NoteIgnored counts a non-VoIP packet dropped at the ingress tier.
 func (e *Engine) NoteIgnored() { e.ignored.Add(1) }
 
-// Ingest routes one captured packet into the pipeline. at is the
-// packet's capture timestamp on the trace clock; callers must deliver
-// packets in capture order. Ingest is safe for concurrent use and
-// returns ErrClosed once Close has begun. Parse failures are counted,
-// not returned: garbage on the wire is an observation, not an ingest
-// error.
-func (e *Engine) Ingest(pkt *sim.Packet, at time.Duration) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.ingestWG.Add(1)
-	defer e.ingestWG.Done()
-	// Re-check after joining the wait group: Close sets closed before
-	// waiting, so passing this check guarantees Close has not yet
-	// closed the shard queues.
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.ingested.Add(1)
-
-	switch pkt.Proto {
-	case sim.ProtoSIP:
-		e.ingestSIP(pkt, at)
-	case sim.ProtoRTP:
-		e.routeMedia(pkt.To.Host, pkt.To.Port, at).
-			enqueue(item{pkt: pkt, at: at}, e.cfg.Policy)
-	case sim.ProtoRTCP:
-		// RTCP rides the media port + 1 (RFC 3550 convention the
-		// shard-side handler assumes too).
-		e.routeMedia(pkt.To.Host, pkt.To.Port-1, at).
-			enqueue(item{pkt: pkt, at: at}, e.cfg.Policy)
-	default:
-		// Non-VoIP traffic is outside vids' scope.
-		e.ignored.Add(1)
-		e.retirePkt(pkt)
-	}
-	return nil
-}
-
-// retirePkt hands a packet the engine has finished with to the
-// OnRetire hook. Never called under a lock.
-func (e *Engine) retirePkt(pkt *sim.Packet) {
-	if e.cfg.OnRetire != nil {
-		e.cfg.OnRetire(pkt)
-	}
-}
-
-// ingestSIP parses, feeds the cross-call detectors, maintains the
-// routing indexes, and forwards to the owning shard — or absorbs the
-// packet here when it is a stray response the shared FloodWatch owns.
-func (e *Engine) ingestSIP(pkt *sim.Packet, at time.Duration) {
-	raw, ok := pkt.Payload.([]byte)
-	if !ok {
-		e.parseErrors.Add(1)
-		e.retirePkt(pkt)
-		return
-	}
-	m, err := sipmsg.Parse(raw)
-	if err != nil {
-		e.parseErrors.Add(1)
-		e.retirePkt(pkt)
-		return
-	}
-
-	e.mu.Lock()
-	// Fire flood-window timers due before this packet, then feed.
-	_ = e.clock.RunUntil(at)
-	now := e.clock.Now()
-
-	if m.IsRequest() && m.Method == sipmsg.INVITE {
-		if m.To.Tag() == "" {
-			// Render user@host into the scratch and intern it, so a
-			// popular destination's window feeds stop materializing its
-			// AOR string on every INVITE.
-			e.keyBuf = append(e.keyBuf[:0], m.RequestURI.User...)
-			e.keyBuf = append(e.keyBuf, '@')
-			e.keyBuf = append(e.keyBuf, m.RequestURI.Host...)
-			e.fw.FeedInvite(e.strings.Bytes(e.keyBuf), pkt.From.Host, now)
-		}
-		// Any INVITE creates a call monitor on its shard; remember the
-		// Call-ID so later responses are recognized as answered, not
-		// stray.
-		e.noteCall(m.CallID, at)
-	}
-	_, known := e.calls[m.CallID]
-	if known {
-		e.calls[m.CallID] = at
-	}
-	if m.IsResponse() && !known {
-		// A response for a call this edge never initiated. The
-		// registrar's answer to a REGISTER is the echo of a request
-		// that already raised its own alert, and a response for a call
-		// the sweep only recently forgot is a straggler of a closed
-		// dialog (the sequential path swallows it on a tombstone);
-		// everything else counts toward the DRDoS reflection window.
-		// Either way the shards never see it — mirroring the sequential
-		// path, where such packets die in handleSIP without touching
-		// any machine.
-		_, evicted := e.gone[m.CallID]
-		if !evicted && m.CSeq.Method != sipmsg.REGISTER {
-			e.fw.FeedStrayResponse(m, pkt.To.Host, pkt.From.Host, now)
-		}
-		e.absorbed.Add(1)
-		e.mu.Unlock()
-		// The alert detail (if any) was rendered inside the feed, so
-		// nothing references the payload anymore.
-		e.retirePkt(pkt)
-		return
-	}
-	// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
-	// stream will land, the 2xx answer's SDP where the caller's will.
-	// One validating scan extracts the destination without building the
-	// session description, and the key is interned so re-INVITEs and
-	// recycled ports reuse the routing entry's string.
-	if (m.IsRequest() && m.Method == sipmsg.INVITE) ||
-		(m.IsResponse() && m.IsSuccess() && m.CSeq.Method == sipmsg.INVITE) {
-		if addr, port, _, ok := sdp.MediaDest(m.Body); ok {
-			host := e.strings.Bytes(addr)
-			e.keyBuf = ids.AppendMediaKey(e.keyBuf[:0], host, port)
-			e.media[e.strings.Bytes(e.keyBuf)] = m.CallID
-		}
-	}
-	e.mu.Unlock()
-
-	e.shardFor(m.CallID).enqueue(item{pkt: pkt, at: at, sip: m}, e.cfg.Policy)
-}
-
-// routeMedia resolves a media destination to the shard that owns it,
-// refreshing the owning call's activity stamp. Known streams route by
-// their Call-ID; a destination no SDP advertised is an unsolicited
-// stream, hashed by the media key itself so all its packets still meet
-// one shard's spam monitor. The key is rendered into a scratch buffer
-// under e.mu, so the per-packet path never allocates it.
-func (e *Engine) routeMedia(host string, port int, at time.Duration) *shard {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.keyBuf = ids.AppendMediaKey(e.keyBuf[:0], host, port)
-	callID, ok := e.media[string(e.keyBuf)]
-	if ok {
-		if _, live := e.calls[callID]; live {
-			e.calls[callID] = at
-		}
-		return e.shardFor(callID)
-	}
-	return e.shards[int(fnv32aBytes(e.keyBuf)%uint32(len(e.shards)))]
-}
-
-// noteCall records Call-ID activity and arms the index GC. Caller
-// holds e.mu.
-func (e *Engine) noteCall(id string, at time.Duration) {
-	e.calls[id] = at
-	delete(e.gone, id)
-	e.armSweep()
-}
-
-// armSweep schedules the routing-index sweep on the router clock,
-// mirroring the shard-side idle eviction: entries idle longer than the
-// shard would keep their call (IdleEviction + CloseLinger) are
-// dropped, so the index cannot grow without bound under call churn.
-// Caller holds e.mu.
-func (e *Engine) armSweep() {
-	if e.sweepArmed || e.retain <= 0 {
-		return
-	}
-	e.sweepArmed = true
-	e.clock.Schedule(e.retain/2, func() {
-		e.sweepArmed = false
-		now := e.clock.Now()
-		for id, last := range e.calls {
-			if now-last > e.retain {
-				delete(e.calls, id)
-				// Tombstone the forgotten Call-ID so straggler responses
-				// of the closed dialog are still absorbed silently, the
-				// way the shard's (and the sequential path's) tombstones
-				// swallow them, instead of feeding the reflection window.
-				e.gone[id] = now
-			}
-		}
-		for id, at := range e.gone {
-			if now-at > e.retain {
-				delete(e.gone, id)
-			}
-		}
-		for key, id := range e.media {
-			if _, live := e.calls[id]; !live {
-				delete(e.media, key)
-			}
-		}
-		if len(e.calls)+len(e.gone) > 0 {
-			e.armSweep()
-		}
-	})
-}
-
-// Close drains the pipeline: it waits for in-flight Ingest calls,
-// marks every shard closing, waits for the workers to finish the
-// backlog and run their remaining timers, and finally drains the
-// router clock so open flood windows expire. Close is idempotent;
-// after the first call Ingest returns ErrClosed.
+// Close drains the pool: it waits for in-flight enqueues, marks every
+// shard closing, and waits for the workers to finish the backlog and
+// run their remaining timers. Close is idempotent; after the first
+// call the enqueue methods return ErrClosed.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		for _, sh := range e.shards {
@@ -863,21 +623,18 @@ func (e *Engine) Close() error {
 	for _, sh := range e.shards {
 		<-sh.done
 	}
-	e.mu.Lock()
-	err := e.clock.RunAll()
-	e.mu.Unlock()
-	return err
+	return nil
 }
 
-// Alerts merges every shard's alert log with the router's own into
+// Alerts merges every shard's alert log with the lane alert log into
 // one stream ordered by virtual time (ties broken on the alert fields
 // so the order is deterministic). Call it after Close; while shards
 // are still running it would race their fact bases.
 func (e *Engine) Alerts() []ids.Alert {
 	var out []ids.Alert
-	e.mu.Lock()
-	out = append(out, e.fwAlerts...)
-	e.mu.Unlock()
+	e.alertMu.Lock()
+	out = append(out, e.laneAlerts...)
+	e.alertMu.Unlock()
 	for _, sh := range e.shards {
 		out = append(out, sh.ids.Alerts()...)
 	}
@@ -928,16 +685,16 @@ type ShardStats struct {
 // Stats is a point-in-time snapshot of the pipeline.
 type Stats struct {
 	Shards       []ShardStats
-	Ingested     uint64 // packets accepted by Ingest/EnqueueRaw (or noted by ingress)
+	Ingested     uint64 // packets the ingress tier accepted (noted, plus fast-path hits)
 	Processed    uint64 // sum of shard Processed
 	Dropped      uint64 // sum of shard Dropped
 	DroppedMedia uint64 // Shed evictions that hit media, summed
 	// DroppedSignaling is the shed count the operator watches: while
 	// it stays zero, overload has cost only media-plane sensitivity.
 	DroppedSignaling uint64
-	Alerts           uint64 // shard alerts + router/lane (flood) alerts
-	ParseErrors      uint64 // SIP payloads that failed to parse (router, lane, or shard)
-	Absorbed         uint64 // stray responses consumed by the router or an ingress lane
+	Alerts           uint64 // shard alerts + lane (flood) alerts
+	ParseErrors      uint64 // SIP payloads that failed to parse (lane or shard)
+	Absorbed         uint64 // stray responses consumed by an ingress lane
 	Ignored          uint64 // non-VoIP packets
 
 	// Fast-path cache outcomes (all zero when the cache is disabled).
@@ -1004,11 +761,3 @@ func (e *Engine) Stats() Stats {
 
 // Shards reports the worker count.
 func (e *Engine) Shards() int { return len(e.shards) }
-
-// Tap adapts the engine to the simulator's passive-tap signature, so
-// an in-sim monitoring point can feed the online pipeline directly.
-func (e *Engine) Tap() func(pkt *sim.Packet, at time.Duration) {
-	return func(pkt *sim.Packet, at time.Duration) {
-		_ = e.Ingest(pkt, at)
-	}
-}

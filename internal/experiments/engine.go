@@ -8,12 +8,14 @@ import (
 
 	"vids/internal/engine"
 	"vids/internal/ids"
+	"vids/internal/ingress"
 	"vids/internal/sim"
 )
 
 // EngineResult holds experiment E10: scaling of the online sharded
 // detection pipeline. The same synthetic workload is pushed through
-// the engine with one shard and with NumCPU shards; the speedup bounds
+// the ingress tier and its engine with one shard and with NumCPU
+// shards; the speedup bounds
 // what the paper's per-call independence argument (Section 7.3) buys
 // on this machine, and alert parity confirms sharding changes nothing
 // about what is detected.
@@ -42,7 +44,7 @@ func (r *EngineResult) Render() string {
 	if !r.AlertsMatch {
 		parity = "ALERT STREAMS DIVERGE (bug!)"
 	}
-	return fmt.Sprintf(`E10: online engine scaling (internal/engine)
+	return fmt.Sprintf(`E10: online engine scaling (internal/ingress + internal/engine)
   workload:    %d packets over %d calls (benign + attack mix)
   1 shard:     %v (%.0f pkts/s)
   %d shard(s):  %v (%.0f pkts/s)
@@ -56,13 +58,48 @@ func (r *EngineResult) Render() string {
 		parity, r.Alerts)
 }
 
-// EngineScaling runs experiment E10. The workload is synthesized (not
-// captured from the testbed) so its size tracks the options: one call
-// per MeanCallInterval per UA over the horizon, media packets capped
-// to keep paper-scale runs tractable.
+// EngineScaling runs experiment E10 on the engineWorkload trace, once
+// through a one-shard tier and once through NumCPU shards.
 func EngineScaling(o Options) (*EngineResult, error) {
+	calls, pkts, ats := engineWorkload(o)
+	baseTime, baseAlerts, err := replayIngress(engine.Config{Shards: 1}, pkts, ats)
+	if err != nil {
+		return nil, err
+	}
+	n := runtime.NumCPU()
+	scaledTime, scaledAlerts, err := replayIngress(engine.Config{Shards: n}, pkts, ats)
+	if err != nil {
+		return nil, err
+	}
+
+	res := &EngineResult{
+		Packets:      len(pkts),
+		Calls:        calls,
+		BaseTime:     baseTime,
+		ScaledShards: n,
+		ScaledTime:   scaledTime,
+		Alerts:       len(scaledAlerts),
+		AlertsMatch:  reflect.DeepEqual(baseAlerts, scaledAlerts),
+	}
+	if scaledTime > 0 {
+		res.Speedup = float64(baseTime) / float64(scaledTime)
+	}
+	if !res.AlertsMatch {
+		return res, fmt.Errorf("experiments: engine alert streams diverge (1 shard: %d, %d shards: %d)",
+			len(baseAlerts), n, len(scaledAlerts))
+	}
+	return res, nil
+}
+
+// engineWorkload synthesizes the trace experiments E10 and E12 share.
+// It is synthesized (not captured from the testbed) so its size tracks
+// the options: one call per MeanCallInterval per UA over the horizon,
+// media packets capped to keep paper-scale runs tractable. Packets are
+// reconstructed once so every run measures the pipeline, not trace
+// decoding.
+func engineWorkload(o Options) (calls int, pkts []*sim.Packet, ats []time.Duration) {
 	o = o.withDefaults()
-	calls := int(o.Duration/o.MeanCallInterval) * o.UAs
+	calls = int(o.Duration/o.MeanCallInterval) * o.UAs
 	if calls < 8 {
 		calls = 8
 	}
@@ -79,54 +116,28 @@ func EngineScaling(o Options) (*EngineResult, error) {
 	entries := engine.Synthesize(engine.SynthConfig{
 		Calls: calls, RTPPerCall: rtpPerCall, Attacks: true,
 	})
-	// Reconstruct packets once so both runs measure the engine, not
-	// trace decoding.
-	pkts := make([]*sim.Packet, len(entries))
-	ats := make([]time.Duration, len(entries))
+	pkts = make([]*sim.Packet, len(entries))
+	ats = make([]time.Duration, len(entries))
 	for i, en := range entries {
 		pkts[i] = en.Packet()
 		ats[i] = en.At()
 	}
+	return calls, pkts, ats
+}
 
-	run := func(shards int) (time.Duration, []ids.Alert, error) {
-		e := engine.New(engine.Config{Shards: shards})
-		start := time.Now()
-		for i := range pkts {
-			if err := e.Ingest(pkts[i], ats[i]); err != nil {
-				return 0, nil, err
-			}
-		}
-		if err := e.Close(); err != nil {
+// replayIngress pushes the packets through a fresh production front
+// door (ingress.New, one lane per shard) and returns the wall time to
+// a drained pipeline and the merged alert stream.
+func replayIngress(cfg engine.Config, pkts []*sim.Packet, ats []time.Duration) (time.Duration, []ids.Alert, error) {
+	ing := ingress.New(ingress.Config{Engine: cfg})
+	start := time.Now()
+	for i := range pkts {
+		if err := ing.Ingest(pkts[i], ats[i]); err != nil {
 			return 0, nil, err
 		}
-		return time.Since(start), e.Alerts(), nil
 	}
-
-	baseTime, baseAlerts, err := run(1)
-	if err != nil {
-		return nil, err
+	if err := ing.Close(); err != nil {
+		return 0, nil, err
 	}
-	n := runtime.NumCPU()
-	scaledTime, scaledAlerts, err := run(n)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &EngineResult{
-		Packets:      len(entries),
-		Calls:        calls,
-		BaseTime:     baseTime,
-		ScaledShards: n,
-		ScaledTime:   scaledTime,
-		Alerts:       len(scaledAlerts),
-		AlertsMatch:  reflect.DeepEqual(baseAlerts, scaledAlerts),
-	}
-	if scaledTime > 0 {
-		res.Speedup = float64(baseTime) / float64(scaledTime)
-	}
-	if !res.AlertsMatch {
-		return res, fmt.Errorf("experiments: engine alert streams diverge (1 shard: %d, %d shards: %d)",
-			len(baseAlerts), n, len(scaledAlerts))
-	}
-	return res, nil
+	return time.Since(start), ing.Alerts(), nil
 }

@@ -1,9 +1,9 @@
-// Package ingress is the production ingestion tier between packet
-// sources and the detection engine: M independent lanes standing in
-// front of N shard workers, with the serial work the engine's router
-// used to do — parse, classify, flood accounting, media-index
-// maintenance — either moved onto the shard workers (the full SIP
-// parse) or spread over the lanes (everything else).
+// Package ingress is vids' front door: the only way a packet enters
+// the detection shard pool (internal/engine). M independent lanes
+// stand in front of N shard workers; the full SIP parse runs on the
+// shard workers, and everything else that has to see the stream —
+// classification, flood accounting, call and media-route bookkeeping —
+// is spread over the lanes.
 //
 // A lane is a lock stripe, not a goroutine: listener goroutines call
 // Ingest concurrently, and each packet takes the lane lock (or locks —
@@ -12,22 +12,20 @@
 // per-packet work under a lane lock is deliberately tiny: a zero-alloc
 // lite extract of the Call-ID/media key (no full parse — the owning
 // shard does that, so parsing scales with the shard count), a map
-// probe, and a clock advance. The engine's single router mutex, which
-// BENCH_engine.json showed flattening shards=4 to shards=1 throughput,
-// is out of the hot path entirely: lanes hand raw buffers straight to
-// shard queues via EnqueueRaw.
+// probe, and a clock advance. Lanes hand raw buffers straight to shard
+// queues via EnqueueRaw, so no single mutex serializes the stream.
 //
 // Cross-call detection stays exact under the partitioning because the
 // flood detectors are per-destination: every INVITE toward one AOR
 // hashes to the same lane, so that lane's FloodWatch sees the
-// destination's whole stream, exactly as the engine's shared one
-// would. Lane alerts merge into the engine's alert plane via
-// RecordAlert.
+// destination's whole stream, exactly as one shared window would.
+// Lane alerts merge into the engine's alert plane via RecordAlert.
 package ingress
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vids/internal/bufpool"
@@ -41,8 +39,9 @@ import (
 	"vids/internal/sipmsg"
 )
 
-// laneTableCap bounds each lane's string-intern table, matching the
-// engine router's sizing per serialized ingestion point.
+// laneTableCap bounds each lane's string-intern table: enough for the
+// Call-IDs, media keys and flood destinations of a large live
+// population without growing without bound.
 const laneTableCap = 4096
 
 // Config parameterizes an Ingress.
@@ -97,12 +96,17 @@ type Ingress struct {
 	lanes  []*lane
 	pool   *bufpool.Pool
 	retire func(*sim.Packet) // the chained retire hook, for lane-side disposal
-	retain time.Duration     // idle lifetime of routing entries, mirroring the engine
+	retain time.Duration     // idle lifetime of routing entries, mirroring the shards
 
 	// refreshEvery throttles the cross-lane "this call is still
 	// streaming" touch a media packet makes on its call's lane: one
 	// extra lock acquisition per quarter-retain instead of per packet.
 	refreshEvery time.Duration
+
+	// closed is set by Close. From then on Ingest refuses packets
+	// before touching a lane, whose clock Close has run to the end of
+	// time.
+	closed atomic.Bool
 }
 
 // New builds the tier: the buffer pool, the wrapped engine (with the
@@ -145,7 +149,7 @@ func New(cfg Config) *Ingress {
 	}
 	ing.fp = ing.e.Fastpath()
 	idsCfg := cfg.Engine.IDS
-	idsCfg.ExternalFloods = true // mirror the engine: lanes own the windows
+	idsCfg.ExternalFloods = true // mirror the shards: lanes own the windows
 	for i := range ing.lanes {
 		l := &lane{
 			clock:   sim.New(int64(1000 + i)),
@@ -164,8 +168,7 @@ func New(cfg Config) *Ingress {
 	return ing
 }
 
-// Engine exposes the wrapped engine for stats, alerts, and direct
-// (router-path) ingestion.
+// Engine exposes the wrapped shard pool.
 func (ing *Ingress) Engine() *engine.Engine { return ing.e }
 
 // Buffers exposes the receive-buffer free list for listeners to draw
@@ -179,15 +182,21 @@ func (ing *Ingress) Lanes() int { return len(ing.lanes) }
 // folded into them via the engine's Note hooks).
 func (ing *Ingress) Stats() engine.Stats { return ing.e.Stats() }
 
-// Alerts merges lane, router and shard alerts. Call after Close.
+// Alerts merges lane and shard alerts. Call after Close.
 func (ing *Ingress) Alerts() []ids.Alert { return ing.e.Alerts() }
 
-// Ingest routes one packet into the tier. It implements
-// engine.Sink: on error the caller keeps ownership of the payload
-// buffer; on success the tier owns it and the retire hook will recycle
-// it exactly once. Safe for concurrent use; per-call packet ordering
-// is the caller's (per-listener) responsibility.
+// Ingest routes one packet into the tier. at is the packet's capture
+// timestamp on the trace clock. On error (engine.ErrClosed once Close
+// has begun) the caller keeps ownership of the payload buffer; on
+// success the tier owns it and the retire hook will recycle it exactly
+// once. Parse failures are counted, not returned: garbage on the wire
+// is an observation, not an ingest error. Safe for concurrent use;
+// per-call packet ordering is the caller's (per-listener)
+// responsibility.
 func (ing *Ingress) Ingest(pkt *sim.Packet, at time.Duration) error {
+	if ing.closed.Load() {
+		return engine.ErrClosed
+	}
 	switch pkt.Proto {
 	case sim.ProtoSIP:
 		return ing.ingestSIP(pkt, at)
@@ -314,9 +323,9 @@ func (ing *Ingress) ingestSIP(pkt *sim.Packet, at time.Duration) error {
 		l.calls[l.strings.Bytes(sum.callID)] = at //vids:alloc-ok refreshes the slot the probe above found
 	} else if !sum.req {
 		// A response for a call this edge never initiated: absorbed
-		// here, exactly as the engine's router absorbs it — the shards
-		// never see it. Tombstoned calls swallow their stragglers
-		// silently.
+		// here, mirroring the sequential path, where such packets die
+		// in handleSIP without touching any machine — the shards never
+		// see it. Tombstoned calls swallow their stragglers silently.
 		_, evicted := l.gone[string(sum.callID)]
 		alerts := l.takePending()
 		l.mu.Unlock()
@@ -404,8 +413,10 @@ func (ing *Ingress) installMedia(addr []byte, port int, callID []byte, at time.D
 
 // absorbStray handles a response for an unknown call. The full parse
 // happens here — strays are off the forwarding path, and the exact
-// message (Summary, CSeq method) drives the reflection detector with
-// router-path fidelity.
+// message (Summary, CSeq method) drives the reflection detector just
+// as the sequential IDS feeds it. A registrar's answer to a REGISTER
+// echoes a request that already raised its own alert, so it is not
+// counted.
 //
 //vids:coldpath stray responses never reach a shard; volume is bounded by the reflection window
 func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, evicted bool, at time.Duration) error {
@@ -509,7 +520,7 @@ func (ing *Ingress) ingestSIPSlow(pkt *sim.Packet, raw []byte, at time.Duration)
 // bookkeeping, shard enqueue. A known destination routes to its
 // call's shard; a destination no SDP advertised hashes by its key, so
 // an unsolicited stream still lands all its packets on one shard's
-// spam monitor — exactly the engine router's semantics.
+// spam monitor.
 //
 //vids:noalloc the per-datagram media path
 func (ing *Ingress) ingestMedia(pkt *sim.Packet, host string, port int, at time.Duration) error {
@@ -654,11 +665,14 @@ func (ing *Ingress) drain(alerts []ids.Alert) {
 }
 
 // armSweep schedules the lane's routing-index sweep on its clock,
-// mirroring the engine router's GC: entries idle longer than the shard
-// would keep their call are dropped, and forgotten Call-IDs leave
-// tombstones so straggler responses stay silent. Media entries carry
-// their own activity stamp because their owning call may live on
-// another lane, which this lane must not lock. Caller holds l.mu.
+// mirroring the shard-side idle eviction: entries idle longer than the
+// shard would keep their call (IdleEviction + CloseLinger) are
+// dropped, so the indexes cannot grow without bound under call churn,
+// and forgotten Call-IDs leave tombstones so straggler responses of a
+// closed dialog stay silent, as the shard's tombstones keep them.
+// Media entries carry their own activity stamp because their owning
+// call may live on another lane, which this lane must not lock.
+// Caller holds l.mu.
 func (ing *Ingress) armSweep(l *lane) {
 	if l.swept || ing.retain <= 0 {
 		return
@@ -693,8 +707,12 @@ func (ing *Ingress) armSweep(l *lane) {
 // flood windows expire, sweeps settle), lane alerts merge, and the
 // wrapped engine is closed — which drains the shard queues and their
 // timers. Callers must stop feeding Ingest first (listeners stop on
-// ctx cancellation before their Run returns).
+// ctx cancellation before their Run returns). Close is idempotent;
+// after the first call Ingest returns engine.ErrClosed.
 func (ing *Ingress) Close() error {
+	if !ing.closed.CompareAndSwap(false, true) {
+		return ing.e.Close() // waits out the first call's drain
+	}
 	var firstErr error
 	for _, l := range ing.lanes {
 		l.mu.Lock()

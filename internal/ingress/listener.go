@@ -4,11 +4,61 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"time"
 
 	"vids/internal/engine"
 	"vids/internal/sim"
+	"vids/internal/trace"
 )
+
+// TraceSource replays a captured trace file into an Ingress. With Pace
+// 0 the entries are pushed as fast as the tier accepts them (offline
+// analysis); with Pace p > 0 the capture's inter-packet gaps are
+// reproduced at p times real speed, so p = 1 replays the trace on its
+// original timeline — the mode for rehearsing live operation.
+type TraceSource struct {
+	Path    string
+	Entries []trace.Entry // used instead of Path when non-nil
+	Pace    float64
+}
+
+// Run replays the trace into ing. It returns when the entries are
+// exhausted or ctx is canceled, and must have returned before the tier
+// is Closed (Ingest on a closed tier reports engine.ErrClosed).
+func (ts *TraceSource) Run(ctx context.Context, ing *Ingress) error {
+	entries := ts.Entries
+	if entries == nil {
+		f, err := os.Open(ts.Path)
+		if err != nil {
+			return fmt.Errorf("ingress: open trace: %w", err)
+		}
+		entries, err = trace.Read(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+	}
+	var prev time.Duration
+	for i, en := range entries {
+		at := en.At()
+		if ts.Pace > 0 && at > prev {
+			gap := time.Duration(float64(at-prev) / ts.Pace)
+			select {
+			case <-time.After(gap):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		} else if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		prev = at
+		if err := ing.Ingest(en.Packet(), at); err != nil {
+			return fmt.Errorf("ingress: entry %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // UDPListeners feeds an Ingress from live sockets: K listener pairs
 // (one SIP socket, one media socket each) bound to the same two
@@ -93,11 +143,10 @@ func (ul *UDPListeners) Run(ctx context.Context, ing *Ingress) error {
 	return err
 }
 
-// pump reads one socket until cancellation, mirroring
-// engine.UDPSource.pump but drawing from the shared tier pool: the
-// buffer travels with the packet and the tier's retire hook recycles
-// it; on any path where the packet is not handed off, the buffer goes
-// straight back.
+// pump reads one socket until cancellation, drawing from the shared
+// tier pool: the buffer travels with the packet and the tier's retire
+// hook recycles it; on any path where the packet is not handed off,
+// the buffer goes straight back.
 func (ul *UDPListeners) pump(ctx context.Context, ing *Ingress, conn net.PacketConn, start time.Time, media bool) error {
 	local, _ := conn.LocalAddr().(*net.UDPAddr)
 	toHost := ul.AdvertiseHost

@@ -3,18 +3,54 @@ package ingress
 import (
 	"context"
 	"net"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
 
 	"vids/internal/engine"
 	"vids/internal/rtp"
+	"vids/internal/trace"
 )
 
+// TestTraceSourceFromFile round-trips a synthetic trace through disk
+// and the paced replay path (pace high enough to finish instantly).
+func TestTraceSourceFromFile(t *testing.T) {
+	entries := engine.Synthesize(engine.SynthConfig{Calls: 3, RTPPerCall: 3})
+	path := filepath.Join(t.TempDir(), "synth.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := trace.NewWriter(f)
+	for _, en := range entries {
+		if err := w.Record(en.Packet(), en.At()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ing := New(Config{Engine: engine.Config{Shards: 2}})
+	src := &TraceSource{Path: path, Pace: 10000}
+	if err := src.Run(context.Background(), ing); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := ing.Stats()
+	assertAccounting(t, st)
+	if st.Ingested != uint64(len(entries)) {
+		t.Errorf("ingested %d of %d", st.Ingested, len(entries))
+	}
+}
+
 // TestUDPListenersLoopback drives the tier over real loopback sockets:
-// SIP and media datagrams land in the lanes, and — the part the engine
-// listener cannot do — every receive buffer comes from and returns to
-// the tier's free list.
+// SIP, RTP and RTCP datagrams land in the lanes, and every receive
+// buffer comes from and returns to the tier's free list.
 func TestUDPListenersLoopback(t *testing.T) {
 	ing := New(Config{Lanes: 2, Engine: engine.Config{Shards: 2}})
 
@@ -90,6 +126,7 @@ func TestUDPListenersLoopback(t *testing.T) {
 	}
 
 	st := ing.Stats()
+	assertAccounting(t, st)
 	if st.Ingested < 3 || st.Processed+st.Absorbed == 0 {
 		t.Errorf("unexpected stats: %+v", st)
 	}

@@ -180,7 +180,7 @@ func Parse(data []byte) (*Description, error) {
 // section (whose payload list is never empty when Parse accepts it).
 // addr aliases data; callers that retain it must copy (or intern) it.
 //
-// The packet hot path (internal/ids, the engine router) reads each
+// The packet hot path (internal/ids, the ingress lanes) reads each
 // SDP body through this instead of Parse: one INVITE previously paid
 // two full Parse calls — roughly 20 allocations — per message.
 func MediaDest(data []byte) (addr []byte, port, payload int, ok bool) {
