@@ -13,7 +13,7 @@ CHURNTIME ?= 5000x
 # feeds BENCH_hotpath.json; the engine file merges a churn run
 # (allocation-gated) with a throughput run (timing only — engine
 # fan-out allocs vary with scheduling and are not a useful gate).
-HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessRTP$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$
+HOTPATH_BENCH = BenchmarkSIPParse$$|BenchmarkSIPScan$$|BenchmarkRTPParse$$|BenchmarkRTCPParse$$|BenchmarkIDSProcessSIP$$|BenchmarkIDSProcessSIPCompiled$$|BenchmarkIDSProcessRTP$$|BenchmarkEFSMStep$$|BenchmarkEFSMStepCompiled$$|BenchmarkFastpathLookup$$
 # CHURN_BENCH is the call lifecycle one dialog at a time plus the same
 # churn with 1k and 10k closed monitors lingering resident, whose
 # ns/op must not grow with the resident count.
@@ -120,7 +120,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sipmsg -run '^$$' -fuzz 'FuzzSIPParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sipmsg -run '^$$' -fuzz 'FuzzURIParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rtp -run '^$$' -fuzz 'FuzzRTPParseInto$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ingress -run '^$$' -fuzz 'FuzzLiteExtract$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sipmsg -run '^$$' -fuzz 'FuzzSIPScan$$' -fuzztime $(FUZZTIME)
 
 # speccover measures specification transition coverage (scenario
 # suite + synthesized witness traces, merged with static product

@@ -25,6 +25,11 @@ const (
 	// with SDP: one allocation per retained header value plus the
 	// header slices. The seed parser took 33.
 	maxSIPParseAllocs = 16
+	// maxSIPScanAllocs pins sipmsg.Scan, the same grammar with
+	// materialization off, on the same INVITE: the ingress lanes run it
+	// on every SIP datagram. Zero, exactly — the //vids:noalloc gate in
+	// cmd/vidslint proves it statically and this budget dynamically.
+	maxSIPScanAllocs = 0
 	// maxIDSProcessRTPAllocs bounds the full IDS path for one RTP
 	// packet on an established call in steady state. The seed path
 	// took 12 (excluding packet marshaling).
@@ -74,6 +79,23 @@ func TestAllocBudgetSIPParse(t *testing.T) {
 	})
 	if avg > maxSIPParseAllocs {
 		t.Errorf("sipmsg.Parse allocates %.1f/op, budget %d", avg, maxSIPParseAllocs)
+	}
+}
+
+// TestAllocBudgetSIPScan holds the lane-side scan to zero allocations.
+func TestAllocBudgetSIPScan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	raw := benchInvite().Bytes()
+	var v sipmsg.View
+	avg := testing.AllocsPerRun(200, func() {
+		if err := sipmsg.Scan(raw, &v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > maxSIPScanAllocs {
+		t.Errorf("sipmsg.Scan allocates %.1f/op, budget %d", avg, maxSIPScanAllocs)
 	}
 }
 

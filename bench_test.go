@@ -189,6 +189,22 @@ func BenchmarkSIPParse(b *testing.B) {
 	}
 }
 
+// BenchmarkSIPScan measures the zero-allocation pass of the same
+// grammar that the ingress lanes route every SIP datagram on, over the
+// INVITE BenchmarkSIPParse parses.
+func BenchmarkSIPScan(b *testing.B) {
+	raw := benchInvite().Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var v sipmsg.View
+	for i := 0; i < b.N; i++ {
+		if err := sipmsg.Scan(raw, &v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSIPSerialize measures message serialization.
 func BenchmarkSIPSerialize(b *testing.B) {
 	m := benchInvite()

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"vids/internal/fastpath"
+	"vids/internal/fnv1a"
 	"vids/internal/ids"
 	"vids/internal/sim"
 	"vids/internal/sipmsg"
@@ -318,8 +319,8 @@ func (sh *shard) run() {
 			it := batch[i]
 			_ = sh.sim.RunUntil(it.at)
 			if it.pkt.Proto == sim.ProtoSIP {
-				// The lane routed on a lite extract and the shard owns the
-				// full parse, so parsing scales with the shard count.
+				// The lane routed on sipmsg.Scan and the shard owns the
+				// materializing parse, so parsing scales with the shard count.
 				if raw, ok := it.pkt.Payload.([]byte); ok {
 					if m, err := sipmsg.Parse(raw); err == nil {
 						sh.ids.ProcessSIP(m, it.pkt)
@@ -476,46 +477,16 @@ func (sh *shard) shut() {
 	sh.mu.Unlock()
 }
 
-// fnv32a is FNV-1a over the key string, inlined to keep the hot path
-// allocation-free.
-func fnv32a(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
-// fnv32aBytes is fnv32a over a byte slice, so a media key rendered
-// into a scratch buffer picks the same shard as its string form.
-func fnv32aBytes(b []byte) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= prime32
-	}
-	return h
-}
-
 // ShardIndexFor is the Call-ID → shard mapping the ingress tier routes
 // by, so every packet of one call lands on one worker.
 func (e *Engine) ShardIndexFor(callID string) int {
-	return int(fnv32a(callID) % uint32(len(e.shards)))
+	return int(fnv1a.AddString(fnv1a.Offset, callID) % uint32(len(e.shards)))
 }
 
 // ShardIndexForBytes is ShardIndexFor over a key still sitting in a
 // receive buffer, so the per-packet route never materializes a string.
 func (e *Engine) ShardIndexForBytes(key []byte) int {
-	return int(fnv32aBytes(key) % uint32(len(e.shards)))
+	return int(fnv1a.AddBytes(fnv1a.Offset, key) % uint32(len(e.shards)))
 }
 
 // EnqueueRaw hands a packet to shard idx: the ingress tier has already
@@ -595,8 +566,8 @@ func (e *Engine) RecordAlert(a ids.Alert) {
 // pipeline.
 func (e *Engine) NoteIngested() { e.ingested.Add(1) }
 
-// NoteParseError counts a datagram that failed the SIP lite extract
-// and the full parse fallback.
+// NoteParseError counts a SIP datagram the ingress lane rejected:
+// sipmsg.Scan, and therefore sipmsg.Parse, refused it.
 func (e *Engine) NoteParseError() { e.parseErrors.Add(1) }
 
 // NoteAbsorbed counts a stray response consumed at the ingress tier.

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vids/internal/fnv1a"
 	"vids/internal/metrics"
 	"vids/internal/rtp"
 )
@@ -107,7 +108,7 @@ type Flow struct {
 
 	callID string // interned by the installer; indexes byCall
 	key    string // interned media key; lets the hot-slot probe verify a match
-	hash   uint32 // FNV-1a of key, as computed by stripeHash
+	hash   uint32 // FNV-1a of key (package fnv1a), as computed by stripeHash
 
 	// Guarded by the owning stripe's mutex.
 	gen      uint32
@@ -232,18 +233,12 @@ func New(cfg Config) *Cache {
 
 //vids:noalloc per-packet stripe selection (FNV-1a over the media key)
 func (c *Cache) stripeHash(key []byte) (*stripe, uint32) {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * 16777619
-	}
+	h := fnv1a.AddBytes(fnv1a.Offset, key)
 	return &c.stripes[h&c.mask], h //vids:panic-ok mask is len(stripes)-1 with len a power of two, both fixed at New
 }
 
 func (c *Cache) stripeHashString(key string) (*stripe, uint32) {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
+	h := fnv1a.AddString(fnv1a.Offset, key)
 	return &c.stripes[h&c.mask], h
 }
 

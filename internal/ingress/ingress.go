@@ -9,11 +9,14 @@
 // Ingest concurrently, and each packet takes the lane lock (or locks —
 // a SIP packet may touch the flood lane, the call lane and a media
 // lane, always sequentially, never nested) that its keys hash to. The
-// per-packet work under a lane lock is deliberately tiny: a zero-alloc
-// lite extract of the Call-ID/media key (no full parse — the owning
-// shard does that, so parsing scales with the shard count), a map
-// probe, and a clock advance. Lanes hand raw buffers straight to shard
-// queues via EnqueueRaw, so no single mutex serializes the stream.
+// per-packet work under a lane lock is deliberately tiny: a map probe
+// and a clock advance, keyed by the Call-ID or media key. The SIP
+// routing fields come from sipmsg.Scan before any lock is taken:
+// Parse's grammar with nothing materialized and no allocation, so a
+// lane accepts exactly the datagrams the owning shard will parse. The
+// shard builds the message, so materialization scales with the shard
+// count. Lanes hand raw buffers straight to shard queues via
+// EnqueueRaw, so no single mutex serializes the stream.
 //
 // Cross-call detection stays exact under the partitioning because the
 // flood detectors are per-destination: every INVITE toward one AOR
@@ -31,6 +34,7 @@ import (
 	"vids/internal/bufpool"
 	"vids/internal/engine"
 	"vids/internal/fastpath"
+	"vids/internal/fnv1a"
 	"vids/internal/ids"
 	"vids/internal/intern"
 	"vids/internal/rtp"
@@ -231,13 +235,13 @@ func (ing *Ingress) laneForShard(shardIdx int) *lane {
 // pressure away from the victim's signaling lane. Install (host from
 // an SDP body) and lookup (host from a packet) hash identical strings.
 func (ing *Ingress) laneForMedia(host string, port int) *lane {
-	h := fnvString(host)
+	h := fnv1a.AddString(fnv1a.Offset, host)
 	h ^= uint32(port) * 2654435761 // Knuth multiplicative mix
 	return ing.lanes[int(h%uint32(len(ing.lanes)))]
 }
 
 func (ing *Ingress) laneForMediaBytes(host []byte, port int) *lane {
-	h := fnvBytes(fnvOffset, host)
+	h := fnv1a.AddBytes(fnv1a.Offset, host)
 	h ^= uint32(port) * 2654435761
 	return ing.lanes[int(h%uint32(len(ing.lanes)))]
 }
@@ -245,88 +249,60 @@ func (ing *Ingress) laneForMediaBytes(host []byte, port int) *lane {
 // laneForDest stripes flood destinations (user@host AORs for INVITE
 // windows, plain hosts for reflection windows) over lanes.
 func (ing *Ingress) laneForDest(user, host []byte) *lane {
-	h := fnvBytes(fnvOffset, user)
-	h = fnvByte(h, '@')
-	h = fnvBytes(h, host)
+	h := fnv1a.AddBytes(fnv1a.Offset, user)
+	h = fnv1a.AddString(h, "@")
+	h = fnv1a.AddBytes(h, host)
 	return ing.lanes[int(h%uint32(len(ing.lanes)))]
 }
 
 func (ing *Ingress) laneForHost(host string) *lane {
-	return ing.lanes[int(fnvString(host)%uint32(len(ing.lanes)))]
+	return ing.lanes[int(fnv1a.AddString(fnv1a.Offset, host)%uint32(len(ing.lanes)))]
 }
 
-const (
-	fnvOffset = 2166136261
-	fnvPrime  = 16777619
-)
-
-func fnvBytes(h uint32, b []byte) uint32 {
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-func fnvByte(h uint32, c byte) uint32 {
-	h ^= uint32(c)
-	h *= fnvPrime
-	return h
-}
-
-func fnvString(s string) uint32 {
-	h := uint32(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-// ingestSIP is the signaling lane path: lite-extract the routing
-// fields, feed the flood window for initial INVITEs, maintain the
-// call/tombstone maps, install media routes from SDP, and hand the raw
-// buffer to the owning shard, which parses it there. Anything the
-// extract cannot commit to falls back to a full parse (cold path).
+// ingestSIP is the signaling lane path: scan the routing fields with
+// sipmsg.Scan (Parse's grammar, nothing materialized), feed the flood
+// window for initial INVITEs, maintain the call/tombstone maps,
+// install media routes from SDP, and hand the raw buffer to the owning
+// shard, which parses it there. A datagram Scan rejects is one Parse
+// would reject: it is counted as a parse error and retired here, so the
+// shards only ever parse well-formed messages.
 //
 //vids:noalloc the per-datagram signaling path; alert/absorb/install branches are cold
 func (ing *Ingress) ingestSIP(pkt *sim.Packet, at time.Duration) error {
 	raw, ok := pkt.Payload.([]byte)
-	if !ok {
+	var v sipmsg.View
+	if !ok || sipmsg.Scan(raw, &v) != nil {
 		ing.e.NoteIngested()
 		ing.e.NoteParseError()
 		ing.retirePkt(pkt)
 		return nil
 	}
-	var sum sipSummary
-	if !extractSIP(raw, &sum) {
-		return ing.ingestSIPSlow(pkt, raw, at)
-	}
 
-	isInvite := sum.req && string(sum.method) == "INVITE"
-	if isInvite && !sum.toTag {
+	req := v.IsRequest()
+	isInvite := req && string(v.Method) == "INVITE"
+	if isInvite && !v.ToTag {
 		// Initial INVITE: feed the per-destination Figure 4 window on
 		// the destination's lane.
-		ing.feedInvite(sum.ruriUser, sum.ruriHost, pkt.From.Host, at)
+		ing.feedInvite(v.RURIUser, v.RURIHost, pkt.From.Host, at)
 	}
 
-	shardIdx := ing.e.ShardIndexForBytes(sum.callID)
+	shardIdx := ing.e.ShardIndexForBytes(v.CallID)
 	l := ing.laneForShard(shardIdx)
 	l.mu.Lock()
 	_ = l.clock.RunUntil(at)
 	if isInvite {
-		cid := l.strings.Bytes(sum.callID)
+		cid := l.strings.Bytes(v.CallID)
 		l.calls[cid] = at //vids:alloc-ok one dialog slot per INVITE; the sweep bounds the table
 		delete(l.gone, cid)
 		ing.armSweep(l)
-	} else if _, known := l.calls[string(sum.callID)]; known {
-		l.calls[l.strings.Bytes(sum.callID)] = at //vids:alloc-ok refreshes the slot the probe above found
-	} else if !sum.req {
+	} else if _, known := l.calls[string(v.CallID)]; known {
+		l.calls[l.strings.Bytes(v.CallID)] = at //vids:alloc-ok refreshes the slot the probe above found
+	} else if !req {
 		// A response for a call this edge never initiated: absorbed
 		// here, mirroring the sequential path, where such packets die
 		// in handleSIP without touching any machine — the shards never
 		// see it. Tombstoned calls swallow their stragglers silently.
-		_, evicted := l.gone[string(sum.callID)]
+		_, evicted := l.gone[string(v.CallID)]
 		alerts := l.takePending()
 		l.mu.Unlock()
 		ing.drain(alerts)
@@ -338,10 +314,10 @@ func (ing *Ingress) ingestSIP(pkt *sim.Packet, at time.Duration) error {
 
 	// Mirror ids.indexMedia: the INVITE's SDP names where the callee's
 	// stream will land, the 2xx answer's where the caller's will.
-	if isInvite || (!sum.req && sum.status >= 200 && sum.status < 300 &&
-		string(sum.cseqMethod) == "INVITE") {
-		if addr, port, _, ok := sdp.MediaDest(sum.body); ok {
-			ing.installMedia(addr, port, sum.callID, at)
+	if isInvite || (!req && v.Status >= 200 && v.Status < 300 &&
+		string(v.CSeqMethod) == "INVITE") {
+		if addr, port, _, ok := sdp.MediaDest(v.Body); ok {
+			ing.installMedia(addr, port, v.CallID, at)
 		}
 	}
 
@@ -350,7 +326,7 @@ func (ing *Ingress) ingestSIP(pkt *sim.Packet, at time.Duration) error {
 		// renegotiation): disarm its flows before the event is enqueued,
 		// so an RTP packet racing this datagram on another lane can no
 		// longer be absorbed against pre-transition state.
-		ing.fp.DisarmCall(sum.callID)
+		ing.fp.DisarmCall(v.CallID)
 	}
 	if err := ing.e.EnqueueRaw(shardIdx, pkt, at); err != nil {
 		return err
@@ -439,75 +415,6 @@ func (ing *Ingress) absorbStray(pkt *sim.Packet, raw []byte, evicted bool, at ti
 	ing.e.NoteIngested()
 	ing.e.NoteAbsorbed()
 	ing.retirePkt(pkt)
-	return nil
-}
-
-// ingestSIPSlow is the fallback for datagrams the lite extract cannot
-// commit to: a full parse, then the same routing decisions. Parse
-// failures are counted and retired here, so the shards only ever
-// re-parse messages known to be well-formed.
-//
-//vids:coldpath the lite extract covers the protocol's serialized shapes; this path is for the torture cases
-func (ing *Ingress) ingestSIPSlow(pkt *sim.Packet, raw []byte, at time.Duration) error {
-	m, err := sipmsg.Parse(raw)
-	if err != nil {
-		ing.e.NoteIngested()
-		ing.e.NoteParseError()
-		ing.retirePkt(pkt)
-		return nil
-	}
-	var sum sipSummary
-	sum.req = m.IsRequest()
-	if sum.req {
-		sum.method = []byte(m.Method)
-		sum.ruriUser = []byte(m.RequestURI.User)
-		sum.ruriHost = []byte(m.RequestURI.Host)
-	} else {
-		sum.status = m.StatusCode
-	}
-	sum.callID = []byte(m.CallID)
-	sum.toTag = m.To.Tag() != ""
-	sum.cseqMethod = []byte(m.CSeq.Method)
-	sum.body = m.Body
-
-	isInvite := sum.req && m.Method == sipmsg.INVITE
-	if isInvite && !sum.toTag {
-		ing.feedInvite(sum.ruriUser, sum.ruriHost, pkt.From.Host, at)
-	}
-	shardIdx := ing.e.ShardIndexFor(m.CallID)
-	l := ing.laneForShard(shardIdx)
-	l.mu.Lock()
-	_ = l.clock.RunUntil(at)
-	if isInvite {
-		cid := l.strings.String(m.CallID)
-		l.calls[cid] = at
-		delete(l.gone, cid)
-		ing.armSweep(l)
-	} else if _, known := l.calls[m.CallID]; known {
-		l.calls[l.strings.String(m.CallID)] = at
-	} else if !sum.req {
-		_, evicted := l.gone[m.CallID]
-		alerts := l.takePending()
-		l.mu.Unlock()
-		ing.drain(alerts)
-		return ing.absorbStray(pkt, raw, evicted, at)
-	}
-	alerts := l.takePending()
-	l.mu.Unlock()
-	ing.drain(alerts)
-
-	if isInvite || (m.IsResponse() && m.IsSuccess() && m.CSeq.Method == sipmsg.INVITE) {
-		if addr, port, _, ok := sdp.MediaDest(m.Body); ok {
-			ing.installMedia(addr, port, sum.callID, at)
-		}
-	}
-	if ing.fp != nil {
-		ing.fp.DisarmCall(sum.callID)
-	}
-	if err := ing.e.EnqueueRaw(shardIdx, pkt, at); err != nil {
-		return err
-	}
-	ing.e.NoteIngested()
 	return nil
 }
 

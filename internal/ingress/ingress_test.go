@@ -1,6 +1,7 @@
 package ingress
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -67,7 +68,7 @@ func assertAccounting(t *testing.T, st engine.Stats) {
 }
 
 // TestIngressParityWithSequential is the tier's acceptance check: the
-// lane path — lite extract, per-lane flood windows, raw shard handoff
+// lane path — routing scan, per-lane flood windows, raw shard handoff
 // — must yield the exact alert multiset of the sequential IDS for a
 // trace that exercises every detector family, at every lane count.
 func TestIngressParityWithSequential(t *testing.T) {
@@ -111,6 +112,57 @@ func TestIngressParityWithSequential(t *testing.T) {
 		if st.Ingested != uint64(len(entries)) {
 			t.Errorf("lanes=%d: ingested %d of %d entries", lanes, st.Ingested, len(entries))
 		}
+	}
+}
+
+// TestExtractMatchesFullParse: over every SIP datagram the synthesizer
+// can emit — including every attack shape — sipmsg.Scan, which the
+// lanes route on, must accept it and extract each routing field
+// exactly as the full parse the shards detect on reads it.
+func TestExtractMatchesFullParse(t *testing.T) {
+	entries := engine.Synthesize(engine.SynthConfig{Calls: 30, RTPPerCall: 4, Attacks: true})
+	sipSeen := 0
+	for i, en := range entries {
+		pkt := en.Packet()
+		if pkt.Proto != sim.ProtoSIP {
+			continue
+		}
+		raw, ok := pkt.Payload.([]byte)
+		if !ok {
+			t.Fatalf("entry %d: SIP payload is %T", i, pkt.Payload)
+		}
+		m, err := sipmsg.Parse(raw)
+		if err != nil {
+			t.Fatalf("entry %d: full parse rejected synthesized SIP: %v", i, err)
+		}
+		sipSeen++
+
+		var v sipmsg.View
+		if err := sipmsg.Scan(raw, &v); err != nil {
+			t.Errorf("entry %d: Scan rejected a serialized %s: %v", i, m.Summary(), err)
+			continue
+		}
+		if v.IsRequest() != m.IsRequest() || string(v.Method) != string(m.Method) || v.Status != m.StatusCode {
+			t.Errorf("entry %d: start line %q/%d, parser %q/%d", i, v.Method, v.Status, m.Method, m.StatusCode)
+		}
+		if string(v.RURIUser) != m.RequestURI.User || string(v.RURIHost) != m.RequestURI.Host {
+			t.Errorf("entry %d: R-URI %q@%q, parser %q@%q", i, v.RURIUser, v.RURIHost, m.RequestURI.User, m.RequestURI.Host)
+		}
+		if string(v.CallID) != m.CallID {
+			t.Errorf("entry %d: callID %q vs %q", i, v.CallID, m.CallID)
+		}
+		if v.ToTag != (m.To.Tag() != "") {
+			t.Errorf("entry %d: toTag %v, parser tag %q", i, v.ToTag, m.To.Tag())
+		}
+		if string(v.CSeqMethod) != string(m.CSeq.Method) {
+			t.Errorf("entry %d: CSeq method %q vs %q", i, v.CSeqMethod, m.CSeq.Method)
+		}
+		if !bytes.Equal(v.Body, m.Body) {
+			t.Errorf("entry %d: body diverges (%d vs %d bytes)", i, len(v.Body), len(m.Body))
+		}
+	}
+	if sipSeen < 100 {
+		t.Fatalf("only %d SIP datagrams in trace; property check is too weak", sipSeen)
 	}
 }
 
@@ -353,5 +405,114 @@ func TestIngressHeaderOnlyMediaParity(t *testing.T) {
 	})
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("header-only parity broken: sequential %d alerts, ingress %d", len(want), len(got))
+	}
+}
+
+// divergenceInvite renders an INVITE for callID toward
+// sip:victim@b.example.com with the given Via and To header values.
+func divergenceInvite(callID, via, to string) []byte {
+	return []byte("INVITE sip:victim@b.example.com SIP/2.0\r\n" +
+		"Via: " + via + "\r\n" +
+		"From: <sip:prankster@example.net>;tag=ft\r\n" +
+		"To: " + to + "\r\n" +
+		"Call-ID: " + callID + "\r\n" +
+		"CSeq: 1 INVITE\r\n\r\n")
+}
+
+// divergenceOK renders a well-formed 200 OK to an INVITE of callID.
+func divergenceOK(callID string, i int) []byte {
+	return []byte("SIP/2.0 200 OK\r\n" +
+		fmt.Sprintf("Via: SIP/2.0/UDP reflect.b.example.com:5060;branch=z9hG4bKdiv%d\r\n", i) +
+		"From: <sip:victim@b.example.com>;tag=vt\r\n" +
+		fmt.Sprintf("To: <sip:y@example.org>;tag=rr%d\r\n", i) +
+		"Call-ID: " + callID + "\r\n" +
+		"CSeq: 1 INVITE\r\n\r\n")
+}
+
+// TestIngressParseDivergences replays the datagram shapes on which a
+// lane-side tokenizer that disagrees with sipmsg.Parse hides or fakes
+// a cross-call alert: a Via that Parse rejects must not open a call
+// (or its reflected answers go unseen) nor feed the INVITE window, and
+// a To carrying duplicate tags must read its last tag, as Parse does.
+// The lanes must agree with the sequential IDS on every one.
+func TestIngressParseDivergences(t *testing.T) {
+	const wellFormedVia = "SIP/2.0/UDP attacker.example.net:5060;branch=z9hG4bKdiv"
+	atk := func(at time.Duration, payload []byte) trace.Entry {
+		return trace.Entry{AtNanos: int64(at), Proto: "SIP",
+			FromHost: "attacker.example.net", FromPort: 5060,
+			ToHost: "proxy.b.example.com", ToPort: 5060,
+			Size: len(payload), Data: payload}
+	}
+	cases := []struct {
+		name        string
+		entries     []trace.Entry
+		parseErrors uint64
+		want        ids.AlertType // an alert the sequential IDS must raise; "" for none at all
+	}{
+		{
+			name: "reflection-hidden",
+			entries: func() []trace.Entry {
+				es := []trace.Entry{atk(0, divergenceInvite("refl@example.net", "v", "<sip:victim@b.example.com>"))}
+				for i := 0; i < 200; i++ {
+					ok := divergenceOK("refl@example.net", i)
+					es = append(es, trace.Entry{AtNanos: int64(time.Duration(i+1) * 10 * time.Millisecond),
+						Proto: "SIP", FromHost: fmt.Sprintf("reflector%d.example.org", i%7), FromPort: 5060,
+						ToHost: "reflect.b.example.com", ToPort: 5060, Size: len(ok), Data: ok})
+				}
+				return es
+			}(),
+			parseErrors: 1,
+			want:        ids.AlertDRDoS,
+		},
+		{
+			name: "false-flood",
+			entries: func() []trace.Entry {
+				var es []trace.Entry
+				for i := 0; i < 200; i++ {
+					es = append(es, atk(time.Duration(i)*time.Millisecond,
+						divergenceInvite(fmt.Sprintf("ff-%d@example.net", i), "v", "<sip:victim@b.example.com>")))
+				}
+				return es
+			}(),
+			parseErrors: 200,
+		},
+		{
+			name: "flood-hidden",
+			entries: func() []trace.Entry {
+				var es []trace.Entry
+				for i := 0; i < 100; i++ {
+					es = append(es, atk(time.Duration(i)*time.Millisecond,
+						divergenceInvite(fmt.Sprintf("fh-%d@example.net", i), wellFormedVia,
+							"<sip:victim@b.example.com>;tag=x;tag=")))
+				}
+				return es
+			}(),
+			want: ids.AlertInviteFlood,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := replaySequential(t, tc.entries, ids.DefaultConfig())
+			raised := false
+			for _, a := range want {
+				raised = raised || a.Type == tc.want
+			}
+			if tc.want == "" && len(want) != 0 {
+				t.Fatalf("sequential IDS raised %d alerts, want none; first: %+v", len(want), want[0])
+			}
+			if tc.want != "" && !raised {
+				t.Fatalf("sequential IDS raised no %s alert: %+v", tc.want, want)
+			}
+			for _, lanes := range []int{1, 2, 4} {
+				got, st := replayIngress(t, tc.entries, Config{Lanes: lanes, Engine: engine.Config{Shards: 4}})
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("lanes=%d: alert streams diverge: sequential %d alerts, ingress %d",
+						lanes, len(want), len(got))
+				}
+				if st.ParseErrors != tc.parseErrors {
+					t.Errorf("lanes=%d: ParseErrors = %d, want %d", lanes, st.ParseErrors, tc.parseErrors)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package sipmsg
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -21,16 +22,6 @@ const (
 
 // KnownMethods lists every method this implementation accepts.
 var KnownMethods = []Method{INVITE, ACK, BYE, CANCEL, REGISTER, OPTIONS}
-
-// IsKnownMethod reports whether m is one of the six core methods.
-func IsKnownMethod(m Method) bool {
-	for _, k := range KnownMethods {
-		if m == k {
-			return true
-		}
-	}
-	return false
-}
 
 // Common response status codes used by the testbed.
 const (
@@ -115,40 +106,64 @@ func (v Via) String() string {
 
 // ParseVia parses a Via header value.
 //
-//vids:alloc-ok params map and error paths are per-Via-header; bounded by maxSIPParseAllocs
 //vids:nopanic parses untrusted wire input
 func ParseVia(s string) (Via, error) {
-	s = strings.TrimSpace(s)
-	rest, ok := strings.CutPrefix(s, "SIP/2.0/")
-	if !ok {
-		return Via{}, fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", s)
+	b := []byte(s)
+	var p viaParts
+	if err := scanVia(b, &p); err != nil {
+		return Via{}, err
 	}
-	sp := strings.IndexByte(rest, ' ')
+	return p.via(s, b), nil
+}
+
+// viaParts locates the pieces of one Via entry as subslices of the
+// scanned bytes.
+type viaParts struct {
+	transport, host []byte
+	port            int
+	params          []byte // the ";k=v..." tail after sent-by
+}
+
+const viaPrefix = sipVersion + "/"
+
+// scanVia is the Via rule: ParseVia materializes its result, Parse and
+// Scan run it in place on the wire bytes. It fills p (which the caller
+// zeroes) and leaves it partial on error.
+func scanVia(b []byte, p *viaParts) error {
+	b = bytes.TrimSpace(b)
+	if len(b) < len(viaPrefix) || string(b[:len(viaPrefix)]) != viaPrefix {
+		return fmt.Errorf("sipmsg: Via %q: missing SIP/2.0/ prefix", b) //vids:alloc-ok error path: malformed Via aborts parsing
+	}
+	rest := b[len(viaPrefix):]
+	sp := bytes.IndexByte(rest, ' ')
 	if sp < 0 {
-		return Via{}, fmt.Errorf("sipmsg: Via %q: missing sent-by", s)
+		return fmt.Errorf("sipmsg: Via %q: missing sent-by", b) //vids:alloc-ok error path: malformed Via aborts parsing
 	}
-	v := Via{Transport: rest[:sp]}
-	rest = strings.TrimSpace(rest[sp+1:])
+	p.transport = rest[:sp]
+	rest = bytes.TrimSpace(rest[sp+1:])
 	hostPort := rest
-	if i := strings.IndexByte(rest, ';'); i >= 0 {
-		hostPort = rest[:i]
-		v.Params = parseParams(rest[i:])
-	} else {
-		v.Params = make(map[string]string)
+	if i := bytes.IndexByte(rest, ';'); i >= 0 {
+		hostPort, p.params = rest[:i], rest[i:]
 	}
-	if c := strings.IndexByte(hostPort, ':'); c >= 0 {
-		port, err := strconv.Atoi(hostPort[c+1:])
+	if c := bytes.IndexByte(hostPort, ':'); c >= 0 {
+		port, err := atoiBytes(hostPort[c+1:])
 		if err != nil || port <= 0 || port > 65535 {
-			return Via{}, fmt.Errorf("sipmsg: Via %q: bad port", s)
+			return fmt.Errorf("sipmsg: Via %q: bad port", b) //vids:alloc-ok error path: malformed Via aborts parsing
 		}
-		v.Port = port
+		p.port = port
 		hostPort = hostPort[:c]
 	}
-	if hostPort == "" {
-		return Via{}, fmt.Errorf("sipmsg: Via %q: empty host", s)
+	if len(hostPort) == 0 {
+		return fmt.Errorf("sipmsg: Via %q: empty host", b) //vids:alloc-ok error path: malformed Via aborts parsing
 	}
-	v.Host = hostPort
-	return v, nil
+	p.host = hostPort
+	return nil
+}
+
+// via materializes p, whose slices lie in b, over s == string(b).
+func (p viaParts) via(s string, b []byte) Via {
+	return Via{Transport: substr(s, b, p.transport), Host: substr(s, b, p.host),
+		Port: p.port, Params: paramMap(s, b, p.params)}
 }
 
 // CSeq is the CSeq header value: sequence number plus method.
@@ -330,38 +345,67 @@ func NewResponse(req *Message, code int) *Message {
 }
 
 // Validate checks the invariants the rest of the stack relies on.
+func (m *Message) Validate() error {
+	return census{
+		method:     []byte(m.Method),
+		status:     m.StatusCode,
+		ruriHost:   m.RequestURI.Host != "",
+		callID:     m.CallID != "",
+		cseqMethod: m.CSeq.Method != "",
+		vias:       len(m.Via),
+		fromHost:   m.From.URI.Host != "",
+		toHost:     m.To.URI.Host != "",
+	}.check()
+}
+
+// census records which of the mandatory parts a message has. Validate
+// takes the census of a built message and the wire walk tallies one
+// as it goes, so both are held to the one rule set in check.
+type census struct {
+	method     []byte // request method; empty for a response
+	status     int    // response status code; 0 for a request
+	ruriHost   bool
+	callID     bool
+	cseqMethod bool
+	vias       int
+	fromHost   bool
+	toHost     bool
+}
+
+// check enforces RFC 3261 §8.1.1's mandatory fields.
 //
 //vids:alloc-ok allocates only for protocol violations, which abort the packet
-func (m *Message) Validate() error {
+func (c census) check() error {
+	req, resp := len(c.method) > 0, c.status != 0
 	switch {
-	case m.IsRequest() && m.IsResponse():
+	case req && resp:
 		return fmt.Errorf("sipmsg: message is both request and response")
-	case !m.IsRequest() && !m.IsResponse():
+	case !req && !resp:
 		return fmt.Errorf("sipmsg: message is neither request nor response")
 	}
-	if m.IsRequest() {
-		if !IsKnownMethod(m.Method) {
-			return fmt.Errorf("sipmsg: unknown method %q", m.Method)
+	if req {
+		if _, known := lookupMethod(c.method); !known {
+			return fmt.Errorf("sipmsg: unknown method %q", string(c.method)) // a copy: boxing the slice would leak the walked datagram
 		}
-		if m.RequestURI.Host == "" {
+		if !c.ruriHost {
 			return fmt.Errorf("sipmsg: request without Request-URI host")
 		}
-	} else if m.StatusCode < 100 || m.StatusCode > 699 {
-		return fmt.Errorf("sipmsg: status code %d out of range", m.StatusCode)
+	} else if c.status < 100 || c.status > 699 {
+		return fmt.Errorf("sipmsg: status code %d out of range", c.status)
 	}
-	if m.CallID == "" {
+	if !c.callID {
 		return fmt.Errorf("sipmsg: missing Call-ID")
 	}
-	if m.CSeq.Method == "" {
+	if !c.cseqMethod {
 		return fmt.Errorf("sipmsg: missing CSeq method")
 	}
-	if len(m.Via) == 0 {
+	if c.vias == 0 {
 		return fmt.Errorf("sipmsg: missing Via")
 	}
-	if m.From.URI.Host == "" {
+	if !c.fromHost {
 		return fmt.Errorf("sipmsg: missing From URI")
 	}
-	if m.To.URI.Host == "" {
+	if !c.toHost {
 		return fmt.Errorf("sipmsg: missing To URI")
 	}
 	return nil

@@ -8,6 +8,7 @@
 package sipmsg
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -23,67 +24,129 @@ type URI struct {
 // ParseURI parses "sip:user@host:port" and friends. The scheme must be
 // "sip" (sips is out of scope: the testbed runs plain UDP).
 //
-//vids:alloc-ok materializes URI fields; bounded by maxSIPParseAllocs
 //vids:nopanic parses untrusted wire input
 func ParseURI(s string) (URI, error) {
-	s = strings.TrimSpace(s)
-	// Strip enclosing angle brackets if present.
-	if len(s) >= 2 && s[0] == '<' && s[len(s)-1] == '>' {
-		s = s[1 : len(s)-1]
+	b := []byte(s)
+	var p uriParts
+	if err := scanURI(b, &p); err != nil {
+		return URI{}, err
 	}
-	rest, ok := strings.CutPrefix(s, "sip:")
-	if !ok {
-		return URI{}, fmt.Errorf("sipmsg: URI %q: missing sip: scheme", s)
-	}
-	// Drop URI parameters and headers.
-	if i := strings.IndexAny(rest, ";?"); i >= 0 {
-		rest = rest[:i]
-	}
-	var u URI
-	if at := strings.IndexByte(rest, '@'); at >= 0 {
-		u.User = rest[:at]
-		rest = rest[at+1:]
-	}
-	if rest == "" {
-		return URI{}, fmt.Errorf("sipmsg: URI %q: empty host", s)
-	}
-	if c := strings.IndexByte(rest, ':'); c >= 0 {
-		port, err := strconv.Atoi(rest[c+1:])
-		if err != nil || port <= 0 || port > 65535 {
-			return URI{}, fmt.Errorf("sipmsg: URI %q: bad port", s)
-		}
-		u.Port = port
-		rest = rest[:c]
-	}
-	if rest == "" {
-		return URI{}, fmt.Errorf("sipmsg: URI %q: empty host", s)
-	}
-	// Reject user/host parts that can never round-trip through the
-	// canonical rendering: angle brackets terminate the name-addr
-	// <...> wrapper early, an '@' in the host re-splits at the wrong
-	// separator, and whitespace or control bytes are eaten by the
-	// re-parse trim.
-	if !uriPartOK(u.User, false) || !uriPartOK(rest, true) {
-		return URI{}, fmt.Errorf("sipmsg: URI %q: reserved byte in user or host", s)
-	}
-	u.Host = rest
-	return u, nil
+	return p.uri(s, b), nil
 }
 
-// uriPartOK reports whether a user or host part survives the
-// serialize/re-parse cycle: no whitespace, control bytes or angle
-// brackets, and no '@' inside a host.
-func uriPartOK(s string, host bool) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c == 0x7f || c == '<' || c == '>' {
-			return false
-		}
-		if host && c == '@' {
-			return false
+// uriParts locates the pieces of a sip: URI as subslices of the
+// scanned bytes.
+type uriParts struct {
+	user, host []byte
+	port       int
+}
+
+// scanURI is the URI rule: ParseURI materializes its result, Parse
+// and Scan run it in place on the wire bytes. It fills p (which the
+// caller zeroes) and leaves it partial on error.
+func scanURI(b []byte, p *uriParts) error {
+	b = bytes.TrimSpace(b)
+	// Strip enclosing angle brackets if present.
+	if len(b) >= 2 && b[0] == '<' && b[len(b)-1] == '>' {
+		b = b[1 : len(b)-1]
+	}
+	if len(b) < 4 || string(b[:4]) != "sip:" {
+		return fmt.Errorf("sipmsg: URI %q: missing sip: scheme", b) //vids:alloc-ok error path: malformed URI aborts parsing
+	}
+	rest := b[4:]
+	// One pass finds where the parameters and headers start (dropped),
+	// the first '@' (user/host split), the first ':' of the host part
+	// (the port), and whether a user or host byte could not round-trip
+	// through the canonical rendering: whitespace or control bytes are
+	// eaten by the re-parse trim, angle brackets end the name-addr
+	// <...> wrapper early, and a second '@' re-splits at the wrong
+	// separator. Such a byte in the port fails the port check instead,
+	// which comes first.
+	at, colon, reserved := -1, -1, false
+scan:
+	for i := 0; i < len(rest); i++ {
+		switch uriByteClass[rest[i]] {
+		case uriPlain:
+		case uriEnd:
+			rest = rest[:i]
+			break scan
+		case uriAt:
+			if at >= 0 {
+				reserved = true
+			} else {
+				at, colon = i, -1
+			}
+		case uriColon:
+			if colon < 0 {
+				colon = i
+			}
+		default:
+			reserved = true
 		}
 	}
-	return true
+	host := rest
+	if at >= 0 && at < len(rest) {
+		p.user, host = rest[:at], rest[at+1:]
+		colon -= at + 1
+	}
+	if len(host) == 0 {
+		return fmt.Errorf("sipmsg: URI %q: empty host", b) //vids:alloc-ok error path: malformed URI aborts parsing
+	}
+	if colon >= 0 && colon < len(host) {
+		port, err := atoiBytes(host[colon+1:])
+		if err != nil || port <= 0 || port > 65535 {
+			return fmt.Errorf("sipmsg: URI %q: bad port", b) //vids:alloc-ok error path: malformed URI aborts parsing
+		}
+		p.port = port
+		host = host[:colon]
+	}
+	if len(host) == 0 {
+		return fmt.Errorf("sipmsg: URI %q: empty host", b) //vids:alloc-ok error path: malformed URI aborts parsing
+	}
+	if reserved {
+		return fmt.Errorf("sipmsg: URI %q: reserved byte in user or host", b) //vids:alloc-ok error path: malformed URI aborts parsing
+	}
+	p.host = host
+	return nil
+}
+
+// Byte classes for scanURI's single pass.
+const (
+	uriPlain    = iota
+	uriEnd      // ';' or '?': parameters or headers follow
+	uriAt       // the user/host separator
+	uriColon    // the host/port separator
+	uriReserved // whitespace, control bytes and angle brackets
+)
+
+var uriByteClass = func() (t [256]uint8) {
+	for c := 0; c <= ' '; c++ {
+		t[c] = uriReserved
+	}
+	t[0x7f], t['<'], t['>'] = uriReserved, uriReserved, uriReserved
+	t[';'], t['?'] = uriEnd, uriEnd
+	t['@'] = uriAt
+	t[':'] = uriColon
+	return t
+}()
+
+// uri materializes p, whose slices lie in b, as substrings of s ==
+// string(b).
+func (p uriParts) uri(s string, b []byte) URI {
+	return URI{User: substr(s, b, p.user), Host: substr(s, b, p.host), Port: p.port}
+}
+
+// substr returns the substring of s that part spans, where part is a
+// subslice of b and s holds b's bytes. A subslice's offset into b is
+// the capacity it lost, so materializing a whole header costs one
+// string(b) however many fields it yields.
+func substr(s string, b, part []byte) string {
+	i := cap(b) - cap(part)
+	j := i + len(part)
+	if i < 0 || j <= i || j > len(s) {
+		return "" // empty, or not a subslice of b
+	}
+	return s[i:j]
 }
 
 // String renders the URI in canonical sip: form.
@@ -137,75 +200,126 @@ func (n NameAddr) WithTag(tag string) NameAddr {
 // ParseNameAddr parses `"Alice" <sip:alice@a.com>;tag=xyz` or the
 // addr-spec short form `sip:alice@a.com;tag=xyz`.
 //
-//vids:alloc-ok materializes name-addr fields; bounded by maxSIPParseAllocs
 //vids:nopanic parses untrusted wire input
 func ParseNameAddr(s string) (NameAddr, error) {
-	s = strings.TrimSpace(s)
-	var na NameAddr
-	rest := s
+	b := []byte(s)
+	var p nameAddrParts
+	if err := scanNameAddr(b, &p); err != nil {
+		return NameAddr{Display: substr(s, b, p.display)}, err
+	}
+	return p.nameAddr(s, b), nil
+}
 
-	if i := strings.IndexByte(s, '<'); i >= 0 {
-		j := strings.IndexByte(s, '>')
+// nameAddrParts locates the pieces of a name-addr as subslices of the
+// scanned bytes.
+type nameAddrParts struct {
+	display []byte
+	uri     uriParts
+	params  []byte // the ";k=v..." tail after the address
+}
+
+// scanNameAddr is the name-addr rule. It fills p (which the caller
+// zeroes); on a bad URI inside angle brackets the display name is
+// already set, as ParseNameAddr has always reported it.
+func scanNameAddr(b []byte, p *nameAddrParts) error {
+	b = bytes.TrimSpace(b)
+	if i := bytes.IndexByte(b, '<'); i >= 0 {
+		j := bytes.IndexByte(b, '>')
 		// j == i is impossible (one byte cannot be both brackets), so
 		// <= is equivalent to < and gives the gate i < j directly.
 		if j <= i {
-			return na, fmt.Errorf("sipmsg: name-addr %q: unbalanced angle brackets", s)
+			return fmt.Errorf("sipmsg: name-addr %q: unbalanced angle brackets", b) //vids:alloc-ok error path: malformed header aborts parsing
 		}
-		na.Display = strings.Trim(strings.TrimSpace(s[:i]), `"`)
-		uri, err := ParseURI(s[i+1 : j])
-		if err != nil {
-			return na, err
-		}
-		na.URI = uri
-		rest = s[j+1:]
-	} else {
-		// addr-spec form: params after the first ';' belong to the
-		// header field, not the URI.
-		uriPart := s
-		if k := strings.IndexByte(s, ';'); k >= 0 {
-			uriPart = s[:k]
-			rest = s[k:]
-		} else {
-			rest = ""
-		}
-		uri, err := ParseURI(uriPart)
-		if err != nil {
-			return na, err
-		}
-		na.URI = uri
+		p.display = trimQuotes(bytes.TrimSpace(b[:i]))
+		p.params = b[j+1:]
+		return scanURI(b[i+1:j], &p.uri)
 	}
+	// addr-spec form: params after the first ';' belong to the header
+	// field, not the URI.
+	uriPart := b
+	if k := bytes.IndexByte(b, ';'); k >= 0 {
+		uriPart, p.params = b[:k], b[k:]
+	}
+	return scanURI(uriPart, &p.uri)
+}
 
-	na.Params = parseParams(rest)
-	return na, nil
+// nameAddr materializes p, whose slices lie in b, over s == string(b).
+func (p nameAddrParts) nameAddr(s string, b []byte) NameAddr {
+	return NameAddr{Display: substr(s, b, p.display), URI: p.uri.uri(s, b), Params: paramMap(s, b, p.params)}
+}
+
+// trimQuotes strips leading and trailing double quotes.
+func trimQuotes(b []byte) []byte {
+	for len(b) > 0 && b[0] == '"' {
+		b = b[1:]
+	}
+	for len(b) > 0 && b[len(b)-1] == '"' {
+		b = b[:len(b)-1]
+	}
+	return b
 }
 
 // parseParams parses ";k=v;k2=v2" fragments into a map. Bare
-// parameters (";lr") map to "". Segments are walked in place rather
-// than split into a slice, keeping the per-header cost to the map
-// itself.
-//
-//vids:alloc-ok params map per name-addr header; bounded by maxSIPParseAllocs
+// parameters (";lr") map to "", and a repeated key keeps its last
+// value.
 func parseParams(s string) map[string]string {
-	params := make(map[string]string)
-	rest := s
-	for rest != "" {
-		var part string
-		if i := strings.IndexByte(rest, ';'); i >= 0 {
-			part, rest = rest[:i], rest[i+1:]
-		} else {
-			part, rest = rest, ""
+	b := []byte(s)
+	return paramMap(s, b, b)
+}
+
+// paramMap materializes the parameters in params, a subslice of b,
+// over s == string(b).
+//
+//vids:alloc-ok the params map of a header Parse retains
+func paramMap(s string, b, params []byte) map[string]string {
+	m := make(map[string]string)
+	for {
+		var k, v []byte
+		var ok bool
+		if k, v, params, ok = nextParam(params); !ok {
+			return m
 		}
-		part = strings.TrimSpace(part)
-		if part == "" {
+		m[substr(s, b, k)] = substr(s, b, v)
+	}
+}
+
+// nextParam is the parameter rule: it cuts the next non-empty
+// ';'-separated parameter off b, trimmed, and returns its key, its
+// value (nil for a bare parameter) and the rest of b. ok is false once
+// b holds no parameter.
+func nextParam(b []byte) (key, value, rest []byte, ok bool) {
+	for len(b) > 0 {
+		part := b
+		b = nil
+		if i := bytes.IndexByte(part, ';'); i >= 0 {
+			part, b = part[:i], part[i+1:]
+		}
+		part = bytes.TrimSpace(part)
+		if len(part) == 0 {
 			continue
 		}
-		if eq := strings.IndexByte(part, '='); eq >= 0 {
-			params[strings.TrimSpace(part[:eq])] = strings.TrimSpace(part[eq+1:])
-		} else {
-			params[part] = ""
+		if eq := bytes.IndexByte(part, '='); eq >= 0 {
+			return bytes.TrimSpace(part[:eq]), bytes.TrimSpace(part[eq+1:]), b, true
 		}
+		return part, nil, b, true
 	}
-	return params
+	return nil, nil, nil, false
+}
+
+// hasTag reports whether params holds a non-empty tag: like the map
+// parseParams builds, the last "tag" parameter wins.
+func hasTag(params []byte) bool {
+	tag := false
+	for {
+		k, v, rest, ok := nextParam(params)
+		if !ok {
+			return tag
+		}
+		if string(k) == "tag" {
+			tag = len(v) > 0
+		}
+		params = rest
+	}
 }
 
 // String renders the name-addr with sorted parameters for stable

@@ -67,219 +67,301 @@ const (
 	hdrContentLength
 )
 
-var crlfcrlf = []byte("\r\n\r\n")
+// View is what the ingress lanes read of a SIP datagram: the fields
+// they pick a shard, feed the cross-call detectors and keep their call
+// and media indexes by. Scan fills it without materializing anything,
+// so the byte-slice fields alias the scanned datagram (or, for a
+// folded header line, a scratch buffer of its own) and are valid only
+// while it is.
+type View struct {
+	Method     []byte // request method; empty for a response
+	Status     int    // response status code; 0 for a request
+	RURIUser   []byte // Request-URI user part
+	RURIHost   []byte // Request-URI host part
+	CallID     []byte
+	ToTag      bool // To carries a non-empty tag (the last tag wins, as in Parse)
+	CSeqMethod []byte
+	Body       []byte // the Content-Length-clamped body
+}
+
+// IsRequest reports whether the scanned datagram is a request.
+func (v *View) IsRequest() bool { return len(v.Method) > 0 }
+
+// Scan runs Parse's grammar over data without building a Message: it
+// returns nil exactly when Parse does, and then every field of v
+// equals the matching Message field. A well-formed datagram costs no
+// allocation; a folded header line takes a scratch buffer and a
+// rejected datagram its error, as in Parse.
+//
+//vids:noalloc per-datagram SIP routing scan on the ingress lanes
+//vids:nopanic parses untrusted wire input
+func Scan(data []byte, v *View) error {
+	var w walker
+	err := w.walk(data)
+	*v = w.v
+	return err
+}
 
 // Parse parses a SIP message from its wire form in a single pass over
-// data: no up-front copy of the input, no header-block split. Field
-// values are materialized as independent strings, but Body aliases
-// data — callers that reuse or mutate the buffer after Parse must
-// copy the body (Clone does).
+// data: no up-front copy of the input, no header-block split. It is
+// Scan's walk with materialization switched on. Field values are
+// independent strings, but Body aliases data — callers that reuse or
+// mutate the buffer after Parse must copy the body (Clone does).
 //
 //vids:noalloc per-packet SIP decode; budget alloc_test.go:maxSIPParseAllocs
 //vids:nopanic parses untrusted wire input
 func Parse(data []byte) (*Message, error) {
-	headerEnd, bodyStart := len(data), len(data)
-	if i := bytes.Index(data, crlfcrlf); i >= 0 {
-		headerEnd, bodyStart = i, i+4
-	}
-	hdr := data[:headerEnd]
-
-	line, pos := cutLine(hdr, 0)
-	if len(trimASCII(line)) == 0 {
-		return nil, fmt.Errorf("sipmsg: empty message") //vids:alloc-ok error path: malformed message aborts parsing
-	}
-	m := &Message{Expires: -1, MaxForwards: -1} //vids:alloc-ok one message object per packet; budgeted by alloc_test.go:maxSIPParseAllocs
-	if err := parseStartLineBytes(m, line); err != nil {
+	w := walker{m: &Message{Expires: -1, MaxForwards: -1}} //vids:alloc-ok one message object per packet; budgeted by alloc_test.go:maxSIPParseAllocs
+	if err := w.walk(data); err != nil {
 		return nil, err
 	}
+	return w.m, nil
+}
 
-	// Walk the header block one physical line at a time, unfolding
-	// continuation lines (SP/HT-led) into scratch only when they occur.
-	contentLength := -1
-	var cur []byte     // pending logical header line
-	var scratch []byte // reused assembly buffer for folded lines
+// walker is one pass of the SIP grammar over a datagram. It always
+// fills v; when m is non-nil (Parse) it also materializes every header
+// into m, and when m is nil (Scan) nothing is materialized. Every
+// accept/reject decision is taken on the bytes, before and
+// independently of materialization, so Scan and Parse cannot disagree.
+type walker struct {
+	v             View
+	m             *Message
+	census        census
+	contentLength int // -1 when absent
+}
+
+func (w *walker) walk(data []byte) error {
+	w.contentLength = -1
+	line, rest, more := cutLine(data)
+	if len(trimASCII(line)) == 0 {
+		return fmt.Errorf("sipmsg: empty message") //vids:alloc-ok error path: malformed message aborts parsing
+	}
+	if err := w.startLine(line); err != nil {
+		return err
+	}
+
+	// Walk the header block one physical line at a time, up to the
+	// first empty CRLF-terminated line, unfolding continuation lines
+	// (SP/HT-led) into scratch only when they occur. Each folded line
+	// gets a buffer of its own: the View may alias it.
+	var body, cur []byte
 	haveCur, curFolded := false, false
-	for pos <= len(hdr) {
+	for more {
 		var ln []byte
-		ln, pos = cutLine(hdr, pos)
+		ln, rest, more = cutLine(rest)
 		if len(ln) == 0 {
+			if more {
+				body = rest
+				break
+			}
 			continue
 		}
 		if (ln[0] == ' ' || ln[0] == '\t') && haveCur {
 			if !curFolded {
-				scratch = append(scratch[:0], cur...)
+				cur = append([]byte(nil), cur...) //vids:alloc-ok folded header lines only; unfolding needs a contiguous copy
 				curFolded = true
 			}
-			scratch = append(scratch, ' ')
-			scratch = append(scratch, trimASCII(ln)...)
-			cur = scratch
+			cur = append(cur, ' ')
+			cur = append(cur, trimASCII(ln)...)
 			continue
 		}
 		if haveCur {
-			if err := m.parseHeaderLine(cur, &contentLength); err != nil {
-				return nil, err
+			if err := w.header(cur); err != nil {
+				return err
 			}
 		}
 		cur, haveCur, curFolded = ln, true, false
 	}
 	if haveCur {
-		if err := m.parseHeaderLine(cur, &contentLength); err != nil {
-			return nil, err
+		if err := w.header(cur); err != nil {
+			return err
 		}
 	}
 
-	if m.MaxForwards < 0 {
-		m.MaxForwards = 70
-	}
-	body := data[bodyStart:] //vids:panic-ok bodyStart is len(data) or bytes.Index(data, crlfcrlf)+4 ≤ len(data) when the 4-byte needle is found
-	if contentLength >= 0 {
-		if contentLength > len(body) {
-			return nil, fmt.Errorf("sipmsg: Content-Length %d exceeds body size %d", //vids:alloc-ok error path: malformed message aborts parsing
-				contentLength, len(body))
+	if w.contentLength >= 0 {
+		if w.contentLength > len(body) {
+			return fmt.Errorf("sipmsg: Content-Length %d exceeds body size %d", //vids:alloc-ok error path: malformed message aborts parsing
+				w.contentLength, len(body))
 		}
-		body = body[:contentLength]
+		body = body[:w.contentLength]
 	}
-	if len(body) > 0 {
-		m.Body = body
+	w.v.Body = body
+	if m := w.m; m != nil {
+		if len(body) > 0 {
+			m.Body = body
+		}
+		if m.MaxForwards < 0 {
+			m.MaxForwards = 70
+		}
 	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	c := &w.census
+	c.method, c.status = w.v.Method, w.v.Status
+	c.ruriHost = len(w.v.RURIHost) > 0
+	c.callID = len(w.v.CallID) > 0
+	c.cseqMethod = len(w.v.CSeqMethod) > 0
+	return c.check()
 }
 
-// cutLine returns the line starting at pos (terminated by CRLF or end
-// of b) and the position after its terminator. Positions past len(b)
-// mean the input is exhausted; a final CRLF yields one trailing empty
-// line, matching a CRLF string split.
-func cutLine(b []byte, pos int) ([]byte, int) {
-	if pos < 0 || pos > len(b) {
-		return nil, len(b) + 1
-	}
-	rest := b[pos:]
-	for i := 0; i+1 < len(rest); i++ {
-		if rest[i] == '\r' && rest[i+1] == '\n' {
-			return rest[:i], pos + i + 2
+// cutLine cuts the first CRLF-terminated line off b and reports
+// whether there was one; if not, line is all of b.
+func cutLine(b []byte) (line, rest []byte, more bool) {
+	for tail := b; ; {
+		i := bytes.IndexByte(tail, '\n')
+		if i < 0 {
+			return b, nil, false
 		}
+		if n := len(b) - len(tail) + i; n > 0 && n < len(b) && b[n-1] == '\r' {
+			return b[:n-1], b[n+1:], true
+		}
+		tail = tail[i+1:]
 	}
-	return rest, len(b) + 1
 }
 
-// parseHeaderLine dispatches one logical (unfolded) header line.
-//
-//vids:alloc-ok materializes the retained header values; bounded by alloc_test.go:maxSIPParseAllocs
-func (m *Message) parseHeaderLine(ln []byte, contentLength *int) error {
+// header dispatches one logical (unfolded) header line.
+func (w *walker) header(ln []byte) error {
 	colon := bytes.IndexByte(ln, ':')
 	if colon < 0 {
-		return fmt.Errorf("sipmsg: malformed header line %q", ln)
+		return fmt.Errorf("sipmsg: malformed header line %q", ln) //vids:alloc-ok error path: malformed message aborts parsing
 	}
 	name := trimASCII(ln[:colon])
 	value := trimASCII(ln[colon+1:])
 	id, canon := lookupHeader(name)
+	m := w.m
 	switch id {
 	case hdrVia:
-		return m.parseViaLine(value)
-	case hdrFrom:
-		na, err := ParseNameAddr(string(value))
-		if err != nil {
-			return fmt.Errorf("sipmsg: From: %w", err)
+		return w.via(value)
+	case hdrFrom, hdrTo, hdrContact:
+		var p nameAddrParts
+		if err := scanNameAddr(value, &p); err != nil {
+			return fmt.Errorf("sipmsg: %s: %w", canon, err) //vids:alloc-ok error path: malformed message aborts parsing
 		}
-		m.From = na
-	case hdrTo:
-		na, err := ParseNameAddr(string(value))
-		if err != nil {
-			return fmt.Errorf("sipmsg: To: %w", err)
+		switch id {
+		case hdrFrom:
+			w.census.fromHost = true // scanURI never yields an empty host
+			if m != nil {
+				m.From = p.nameAddr(string(value), value) //vids:alloc-ok Parse materializes the From value; Scan has no Message
+			}
+		case hdrTo:
+			w.census.toHost = true
+			w.v.ToTag = hasTag(p.params)
+			if m != nil {
+				m.To = p.nameAddr(string(value), value) //vids:alloc-ok Parse materializes the To value; Scan has no Message
+			}
+		case hdrContact:
+			if m != nil {
+				na := p.nameAddr(string(value), value) //vids:alloc-ok Parse materializes the Contact value; Scan has no Message
+				m.Contact = &na
+			}
 		}
-		m.To = na
 	case hdrCallID:
-		m.CallID = string(value)
+		w.v.CallID = value
+		if m != nil {
+			m.CallID = string(value) //vids:alloc-ok Parse materializes the Call-ID; Scan has no Message
+		}
 	case hdrCSeq:
-		cs, err := parseCSeqBytes(value)
+		seq, method, err := parseCSeqBytes(value)
 		if err != nil {
 			return err
 		}
-		m.CSeq = cs
-	case hdrContact:
-		na, err := ParseNameAddr(string(value))
-		if err != nil {
-			return fmt.Errorf("sipmsg: Contact: %w", err)
+		w.v.CSeqMethod = method
+		if m != nil {
+			m.CSeq = CSeq{Seq: seq, Method: internMethod(method)}
 		}
-		m.Contact = &na
 	case hdrMaxForwards:
 		n, err := atoiBytes(value)
 		if err != nil || n < 0 {
-			return fmt.Errorf("sipmsg: bad Max-Forwards %q", value)
+			return fmt.Errorf("sipmsg: bad Max-Forwards %q", value) //vids:alloc-ok error path: malformed message aborts parsing
 		}
-		m.MaxForwards = n
+		if m != nil {
+			m.MaxForwards = n
+		}
 	case hdrExpires:
 		n, err := atoiBytes(value)
 		if err != nil || n < 0 {
-			return fmt.Errorf("sipmsg: bad Expires %q", value)
+			return fmt.Errorf("sipmsg: bad Expires %q", value) //vids:alloc-ok error path: malformed message aborts parsing
 		}
-		m.Expires = n
+		if m != nil {
+			m.Expires = n
+		}
 	case hdrContentType:
-		m.ContentType = string(value)
+		if m != nil {
+			m.ContentType = string(value) //vids:alloc-ok Parse materializes the Content-Type; Scan has no Message
+		}
 	case hdrContentLength:
 		n, err := atoiBytes(value)
 		if err != nil || n < 0 {
-			return fmt.Errorf("sipmsg: bad Content-Length %q", value)
+			return fmt.Errorf("sipmsg: bad Content-Length %q", value) //vids:alloc-ok error path: malformed message aborts parsing
 		}
-		*contentLength = n
+		w.contentLength = n
 	default:
-		if canon == "" {
-			canon = canonicalizeBytes(name)
+		if m != nil {
+			m.addOther(name, canon, value)
 		}
-		if m.Other == nil {
-			m.Other = make(map[string][]string)
-		}
-		m.Other[canon] = append(m.Other[canon], string(value))
 	}
 	return nil
 }
 
-// parseViaLine splits a Via value on top-level commas (outside quotes
-// and angle brackets) and appends each entry.
+// addOther keeps a header this package does not model.
 //
-//vids:alloc-ok Via entries are materialized per header; bounded by maxSIPParseAllocs
-func (m *Message) parseViaLine(value []byte) error {
-	start, depth := 0, 0
-	inQuote := false
-	for i := 0; i <= len(value); i++ {
-		if i < len(value) {
-			c := value[i]
-			if c == '"' {
-				inQuote = !inQuote
-				continue
-			}
-			if inQuote {
-				continue
-			}
-			if c == '<' {
-				depth++
-				continue
-			}
-			if c == '>' {
-				if depth > 0 {
-					depth--
-				}
-				continue
-			}
-			if c != ',' || depth != 0 {
-				continue
-			}
-		}
-		v, err := ParseVia(string(trimASCII(value[start:i]))) //vids:panic-ok start is 0 or i+1 for an earlier loop index, so 0 ≤ start ≤ i ≤ len(value)
-		if err != nil {
+//vids:alloc-ok Parse's header materialization; Scan has no Message
+func (m *Message) addOther(name []byte, canon string, value []byte) {
+	if canon == "" {
+		canon = canonicalizeBytes(name)
+	}
+	if m.Other == nil {
+		m.Other = make(map[string][]string)
+	}
+	m.Other[canon] = append(m.Other[canon], string(value))
+}
+
+// via splits a Via value on top-level commas (outside quotes and angle
+// brackets) and scans each entry.
+func (w *walker) via(value []byte) error {
+	for more := true; more; {
+		var entry []byte
+		entry, value, more = cutTopLevelComma(value)
+		entry = trimASCII(entry)
+		var p viaParts
+		if err := scanVia(entry, &p); err != nil {
 			return err
 		}
-		m.Via = append(m.Via, v)
-		start = i + 1
+		w.census.vias++
+		if m := w.m; m != nil {
+			m.Via = append(m.Via, p.via(string(entry), entry)) //vids:alloc-ok Parse materializes the Via entry; Scan has no Message
+		}
 	}
 	return nil
 }
 
-//vids:alloc-ok URI/status materialization plus malformed-line error paths; bounded by maxSIPParseAllocs
-func parseStartLineBytes(m *Message, line []byte) error {
+// cutTopLevelComma cuts b at its first comma outside quotes and angle
+// brackets and reports whether there was one; if not, before is all of
+// b.
+func cutTopLevelComma(b []byte) (before, after []byte, found bool) {
+	if bytes.IndexByte(b, ',') < 0 {
+		return b, nil, false
+	}
+	depth := 0
+	inQuote := false
+	for i, c := range b {
+		switch {
+		case c == '"':
+			inQuote = !inQuote
+		case inQuote:
+		case c == '<':
+			depth++
+		case c == '>':
+			if depth > 0 {
+				depth--
+			}
+		case c == ',' && depth == 0:
+			return b[:i], b[i+1:], true
+		}
+	}
+	return b, nil, false
+}
+
+// startLine parses `METHOD URI SIP/2.0` or `SIP/2.0 code reason`.
+func (w *walker) startLine(line []byte) error {
 	line = trimASCII(line)
 	if len(line) > len(sipVersion) &&
 		string(line[:len(sipVersion)]) == sipVersion && line[len(sipVersion)] == ' ' {
@@ -292,10 +374,13 @@ func parseStartLineBytes(m *Message, line []byte) error {
 		}
 		code, err := atoiBytes(codePart)
 		if err != nil || code < 100 || code > 699 {
-			return fmt.Errorf("sipmsg: bad status line %q", line)
+			return fmt.Errorf("sipmsg: bad status line %q", line) //vids:alloc-ok error path: malformed message aborts parsing
 		}
-		m.StatusCode = code
-		m.Reason = string(reason)
+		w.v.Status = code
+		if m := w.m; m != nil {
+			m.StatusCode = code
+			m.Reason = string(reason) //vids:alloc-ok Parse materializes the reason phrase; Scan has no Message
+		}
 		return nil
 	}
 	// Request line: INVITE sip:bob@b.com SIP/2.0
@@ -314,7 +399,7 @@ func parseStartLineBytes(m *Message, line []byte) error {
 			j++
 		}
 		if n >= len(fields) {
-			return fmt.Errorf("sipmsg: bad request line %q", line)
+			return fmt.Errorf("sipmsg: bad request line %q", line) //vids:alloc-ok error path: malformed message aborts parsing
 		}
 		if j < len(rest) {
 			fields[n] = rest[:j]
@@ -326,22 +411,25 @@ func parseStartLineBytes(m *Message, line []byte) error {
 		n++
 	}
 	if n != 3 || string(fields[2]) != sipVersion {
-		return fmt.Errorf("sipmsg: bad request line %q", line)
+		return fmt.Errorf("sipmsg: bad request line %q", line) //vids:alloc-ok error path: malformed message aborts parsing
 	}
-	uri, err := ParseURI(string(fields[1]))
-	if err != nil {
+	var u uriParts
+	if err := scanURI(fields[1], &u); err != nil {
 		return err
 	}
-	m.Method = internMethod(fields[0])
-	m.RequestURI = uri
+	w.v.Method, w.v.RURIUser, w.v.RURIHost = fields[0], u.user, u.host
+	if m := w.m; m != nil {
+		m.Method = internMethod(fields[0])
+		m.RequestURI = u.uri(string(fields[1]), fields[1]) //vids:alloc-ok Parse materializes the Request-URI; Scan has no Message
+	}
 	return nil
 }
 
-// parseCSeqBytes parses a CSeq value ("314159 INVITE") without
-// intermediate strings; known methods are interned.
+// parseCSeqBytes parses a CSeq value ("314159 INVITE") in place,
+// returning the method as a subslice of b.
 //
 //vids:alloc-ok allocates only for malformed CSeq lines, which abort the packet
-func parseCSeqBytes(b []byte) (CSeq, error) {
+func parseCSeqBytes(b []byte) (uint32, []byte, error) {
 	var f0, f1 []byte
 	n := 0
 	rest := b
@@ -368,24 +456,34 @@ func parseCSeqBytes(b []byte) (CSeq, error) {
 		case 1:
 			f1 = field
 		default:
-			return CSeq{}, fmt.Errorf("sipmsg: CSeq %q: want <seq> <method>", b)
+			return 0, nil, fmt.Errorf("sipmsg: CSeq %q: want <seq> <method>", b)
 		}
 		n++
 	}
 	if n != 2 {
-		return CSeq{}, fmt.Errorf("sipmsg: CSeq %q: want <seq> <method>", b)
+		return 0, nil, fmt.Errorf("sipmsg: CSeq %q: want <seq> <method>", b)
 	}
 	var seq uint64
 	for _, c := range f0 {
 		if c < '0' || c > '9' {
-			return CSeq{}, fmt.Errorf("sipmsg: CSeq %q: bad sequence number", b)
+			return 0, nil, fmt.Errorf("sipmsg: CSeq %q: bad sequence number", b)
 		}
 		seq = seq*10 + uint64(c-'0')
 		if seq > 1<<32-1 {
-			return CSeq{}, fmt.Errorf("sipmsg: CSeq %q: bad sequence number", b)
+			return 0, nil, fmt.Errorf("sipmsg: CSeq %q: bad sequence number", b)
 		}
 	}
-	return CSeq{Seq: uint32(seq), Method: internMethod(f1)}, nil
+	return uint32(seq), f1, nil
+}
+
+// lookupMethod returns the shared constant for a known method.
+func lookupMethod(b []byte) (Method, bool) {
+	for _, k := range KnownMethods {
+		if string(b) == string(k) {
+			return k, true
+		}
+	}
+	return "", false
 }
 
 // internMethod returns the shared constant for known methods so the
@@ -393,10 +491,8 @@ func parseCSeqBytes(b []byte) (CSeq, error) {
 //
 //vids:alloc-ok unknown methods only; the static table covers every RFC 3261 method
 func internMethod(b []byte) Method {
-	for _, k := range KnownMethods {
-		if string(b) == string(k) {
-			return k
-		}
+	if k, ok := lookupMethod(b); ok {
+		return k
 	}
 	return Method(b)
 }
@@ -538,7 +634,7 @@ func trimASCII(b []byte) []byte {
 }
 
 func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+	return c == ' ' || c-'\t' <= '\r'-'\t' // SP, or HT LF VT FF CR
 }
 
 func lowerByte(c byte) byte {
